@@ -282,7 +282,7 @@ func benchDispatchLP(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := d.Dispatch([]dispatch.NewRequest{{ID: 1, ContextLen: 1200}, {ID: 2, ContextLen: 600}}); err != nil {
+		if _, err := d.Dispatch([]dispatch.NewRequest{{ID: 1, Slot: 0, ContextLen: 1200}, {ID: 2, Slot: 1, ContextLen: 600}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -297,7 +297,7 @@ func benchIdealAttn(b *testing.B) {
 	}
 	var reqs []dispatch.NewRequest
 	for i := 0; i < 128; i++ {
-		reqs = append(reqs, dispatch.NewRequest{ID: int64(i), ContextLen: 400 + 37*(i%19)})
+		reqs = append(reqs, dispatch.NewRequest{ID: int64(i), Slot: i, ContextLen: 400 + 37*(i%19)})
 	}
 	if _, err := d.Dispatch(reqs); err != nil {
 		b.Fatal(err)
@@ -400,19 +400,18 @@ func benchKVCache(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for r := 0; r < 64; r++ {
-			id := kvcache.RequestID(r)
-			if err := mgr.Alloc(id, 4, 512); err != nil {
+		for slot := 0; slot < 64; slot++ {
+			if err := mgr.Alloc(slot, kvcache.RequestID(slot), 4, 512); err != nil {
 				b.Fatal(err)
 			}
 			for k := 0; k < 16; k++ {
-				if err := mgr.Extend(id, 1); err != nil {
+				if err := mgr.Extend(slot, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}
-		for r := 0; r < 64; r++ {
-			mgr.Free(kvcache.RequestID(r))
+		for slot := 0; slot < 64; slot++ {
+			mgr.Free(slot)
 		}
 	}
 }

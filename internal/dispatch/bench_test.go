@@ -37,7 +37,7 @@ func BenchmarkDispatchLP(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := d.Dispatch([]NewRequest{{ID: 1, ContextLen: 1200}, {ID: 2, ContextLen: 600}}); err != nil {
+		if _, err := d.Dispatch([]NewRequest{{ID: 1, Slot: 1, ContextLen: 1200}, {ID: 2, Slot: 2, ContextLen: 600}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -52,7 +52,7 @@ func BenchmarkDispatchGreedy(b *testing.B) {
 			b.Fatal(err)
 		}
 		d.SetPolicy(PolicyGreedy)
-		if _, err := d.Dispatch([]NewRequest{{ID: 1, ContextLen: 1200}, {ID: 2, ContextLen: 600}}); err != nil {
+		if _, err := d.Dispatch([]NewRequest{{ID: 1, Slot: 1, ContextLen: 1200}, {ID: 2, Slot: 2, ContextLen: 600}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -66,7 +66,7 @@ func BenchmarkIdealAttnTime(b *testing.B) {
 	}
 	var reqs []NewRequest
 	for i := 0; i < 128; i++ {
-		reqs = append(reqs, NewRequest{ID: int64(i), ContextLen: 400 + 37*(i%19)})
+		reqs = append(reqs, NewRequest{ID: int64(i), Slot: i, ContextLen: 400 + 37*(i%19)})
 	}
 	if _, err := d.Dispatch(reqs); err != nil {
 		b.Fatal(err)

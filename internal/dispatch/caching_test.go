@@ -43,7 +43,7 @@ func TestCachingDecisionEquivalence(t *testing.T) {
 				switch op := rng.Intn(10); {
 				case op < 4: // admit
 					ctx := 64 + rng.Intn(2048)
-					nr := []NewRequest{{ID: nextID, ContextLen: ctx}}
+					nr := []NewRequest{{ID: nextID, Slot: int(nextID), ContextLen: ctx}}
 					x1, err1 := cached.Dispatch(nr)
 					x2, err2 := plain.Dispatch(nr)
 					if (err1 == nil) != (err2 == nil) {
@@ -58,8 +58,8 @@ func TestCachingDecisionEquivalence(t *testing.T) {
 					nextID++
 				case op < 7: // grow every live request by one token
 					for _, id := range live {
-						o1, e1 := cached.ExtendContext(id, 1)
-						o2, e2 := plain.ExtendContext(id, 1)
+						o1, e1 := cached.ExtendContext(int(id), 1)
+						o2, e2 := plain.ExtendContext(int(id), 1)
 						if (e1 == nil) != (e2 == nil) || !reflect.DeepEqual(o1, o2) {
 							t.Fatalf("step %d: extend diverged for %d: %v/%v vs %v/%v", step, id, o1, e1, o2, e2)
 						}
@@ -78,8 +78,8 @@ func TestCachingDecisionEquivalence(t *testing.T) {
 						continue
 					}
 					k := rng.Intn(len(live))
-					cached.Remove(live[k])
-					plain.Remove(live[k])
+					cached.Remove(int(live[k]))
+					plain.Remove(int(live[k]))
 					live = append(live[:k], live[k+1:]...)
 				}
 
@@ -94,7 +94,7 @@ func TestCachingDecisionEquivalence(t *testing.T) {
 					t.Fatalf("step %d: AttnStepTime drift: %v vs %v", step, a, b)
 				}
 				for _, id := range live {
-					if !reflect.DeepEqual(cached.Placement(id), plain.Placement(id)) {
+					if !reflect.DeepEqual(cached.Placement(int(id)), plain.Placement(int(id))) {
 						t.Fatalf("step %d: placement drift for %d", step, id)
 					}
 				}
@@ -148,12 +148,12 @@ func TestPlacementMemoLRU(t *testing.T) {
 	first := make(map[int][]int)
 	for i, c := range ctxs {
 		id := RequestID(i)
-		x, err := d.Dispatch([]NewRequest{{ID: id, ContextLen: c}})
+		x, err := d.Dispatch([]NewRequest{{ID: id, Slot: int(id), ContextLen: c}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		first[c] = x[id]
-		d.Remove(id) // release restores (h, g) to the empty state bit-exactly
+		first[c] = x[0]
+		d.Remove(int(id)) // release restores (h, g) to the empty state bit-exactly
 	}
 	if d.LPSolvesAvoided != 0 {
 		t.Fatalf("first cycle already hit the memo %d times", d.LPSolvesAvoided)
@@ -161,14 +161,14 @@ func TestPlacementMemoLRU(t *testing.T) {
 	solves := d.LPSolves
 	for i, c := range ctxs {
 		id := RequestID(10 + i)
-		x, err := d.Dispatch([]NewRequest{{ID: id, ContextLen: c}})
+		x, err := d.Dispatch([]NewRequest{{ID: id, Slot: int(id), ContextLen: c}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(x[id], first[c]) {
-			t.Errorf("ctx %d: memo answer %v != solved answer %v", c, x[id], first[c])
+		if !reflect.DeepEqual(x[0], first[c]) {
+			t.Errorf("ctx %d: memo answer %v != solved answer %v", c, x[0], first[c])
 		}
-		d.Remove(id)
+		d.Remove(int(id))
 	}
 	if d.LPSolves != solves {
 		t.Errorf("second cycle solved %d LPs; the LRU should have answered all %d", d.LPSolves-solves, len(ctxs))
@@ -192,7 +192,7 @@ func TestSetWarmStartBaselineMode(t *testing.T) {
 	}
 	cold.SetWarmStart(false)
 	for i := 0; i < 12; i++ {
-		nr := []NewRequest{{ID: RequestID(i), ContextLen: 128 + 100*i}}
+		nr := []NewRequest{{ID: RequestID(i), Slot: i, ContextLen: 128 + 100*i}}
 		x1, err1 := warm.Dispatch(nr)
 		x2, err2 := cold.Dispatch(nr)
 		if (err1 == nil) != (err2 == nil) || !reflect.DeepEqual(x1, x2) {
@@ -225,7 +225,7 @@ func TestIdealLowerBoundCertified(t *testing.T) {
 		}
 		n := 1 + rng.Intn(60)
 		for i := 0; i < n; i++ {
-			if _, err := d.Dispatch([]NewRequest{{ID: RequestID(i), ContextLen: 32 + rng.Intn(4096)}}); err != nil {
+			if _, err := d.Dispatch([]NewRequest{{ID: RequestID(i), Slot: i, ContextLen: 32 + rng.Intn(4096)}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -250,7 +250,7 @@ func TestPlacementView(t *testing.T) {
 	if d.NumWorkers() != 2 {
 		t.Fatalf("NumWorkers=%d want 2", d.NumWorkers())
 	}
-	if _, err := d.Dispatch([]NewRequest{{ID: 7, ContextLen: 100}}); err != nil {
+	if _, err := d.Dispatch([]NewRequest{{ID: 7, Slot: 7, ContextLen: 100}}); err != nil {
 		t.Fatal(err)
 	}
 	view := d.PlacementView(7)

@@ -7,11 +7,21 @@
 //
 // Units: head counts are query heads per layer (placement is uniform
 // across layers); cache loads g and capacities M are bytes per layer.
+//
+// Requests are addressed by a slot: a small dense index the caller assigns
+// when it admits a request and recycles when the request leaves (see
+// NewRequest). Per-request state lives in a slot-indexed slab, so the
+// per-token ExtendContext does no hashing and the slab never outgrows the
+// most requests the caller held at once. The request ID is stored beside
+// the slot: every ordering-sensitive choice (Requests, Clear, the
+// re-dispatch victim's tie-break) still keys on it.
 package dispatch
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -47,8 +57,16 @@ type Dispatcher struct {
 	h []float64 // heads per worker (per layer)
 	g []float64 // cache bytes per worker (per layer)
 
-	place  map[RequestID][]int // heads per worker index (multiples of r)
-	ctxLen map[RequestID]int
+	// slots is the per-request state indexed by slot; live lists the
+	// occupied slots in no particular order.
+	slots []placed
+	live  []int
+	// ctxTotal is the context length summed over live requests, kept
+	// running for idealLowerBound.
+	ctxTotal int64
+	// lensBuf is the context-length scratch of the ideal relaxation's
+	// bucketing.
+	lensBuf []int
 
 	// perHeadTokenBytes converts (heads × tokens) to per-layer bytes:
 	// KVBytesPerTokenHeadGroup / r.
@@ -110,6 +128,15 @@ type Dispatcher struct {
 	// keyed by bucket count (the relaxation's shape).
 	placeCache  lpCache
 	idealCaches map[int]*lpCache
+}
+
+// placed is one request's state in the slot slab. A slot is live while x
+// is non-nil.
+type placed struct {
+	id  RequestID
+	x   []int // heads per worker index (multiples of r)
+	ctx int   // context length in tokens
+	pos int   // index in Dispatcher.live
 }
 
 // lpCache is one re-posable LP: the problem instance successive solves
@@ -183,8 +210,6 @@ func New(cfg model.Config, workers []Worker) (*Dispatcher, error) {
 		workers:             workers,
 		h:                   make([]float64, len(workers)),
 		g:                   make([]float64, len(workers)),
-		place:               make(map[RequestID][]int),
-		ctxLen:              make(map[RequestID]int),
 		perHeadTokenBytes:   float64(cfg.KVBytesPerTokenHeadGroup()) / r,
 		scatterBytesPerHead: (2 + 2/r) * float64(cfg.QHeadBytes()),
 	}, nil
@@ -198,12 +223,20 @@ func (d *Dispatcher) Workers() []Worker { return d.workers }
 
 // Requests returns the tracked request IDs in ascending order.
 func (d *Dispatcher) Requests() []RequestID {
-	ids := make([]RequestID, 0, len(d.place))
-	for id := range d.place {
-		ids = append(ids, id)
+	ids := make([]RequestID, 0, len(d.live))
+	for _, slot := range d.live {
+		ids = append(ids, d.slots[slot].id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
+}
+
+// at returns the live request in slot, or nil.
+func (d *Dispatcher) at(slot int) *placed {
+	if slot < 0 || slot >= len(d.slots) || d.slots[slot].x == nil {
+		return nil
+	}
+	return &d.slots[slot]
 }
 
 // Heads returns h_i for worker index i.
@@ -212,29 +245,60 @@ func (d *Dispatcher) Heads(i int) float64 { return d.h[i] }
 // CacheBytes returns g_i for worker index i.
 func (d *Dispatcher) CacheBytes(i int) float64 { return d.g[i] }
 
-// Placement returns a copy of request id's per-worker head counts, or nil.
-func (d *Dispatcher) Placement(id RequestID) []int {
-	p, ok := d.place[id]
-	if !ok {
+// Placement returns a copy of the per-worker head counts placed in slot,
+// or nil.
+func (d *Dispatcher) Placement(slot int) []int {
+	p := d.at(slot)
+	if p == nil {
 		return nil
 	}
-	return append([]int(nil), p...)
+	return append([]int(nil), p.x...)
 }
 
-// PlacementView returns request id's per-worker head counts without
+// PlacementView returns the per-worker head counts placed in slot without
 // copying, or nil. The slice is owned by the dispatcher and valid until
 // the request is re-placed or removed; callers must treat it as
 // read-only. It exists for the engine's per-iteration bookkeeping loops,
 // where Placement's defensive copy was a measurable allocation source.
-func (d *Dispatcher) PlacementView(id RequestID) []int { return d.place[id] }
+func (d *Dispatcher) PlacementView(slot int) []int {
+	if p := d.at(slot); p != nil {
+		return p.x
+	}
+	return nil
+}
 
-// ContextLen returns the tracked context length of a request.
-func (d *Dispatcher) ContextLen(id RequestID) int { return d.ctxLen[id] }
+// ContextLen returns the tracked context length of the request in slot.
+func (d *Dispatcher) ContextLen(slot int) int {
+	if p := d.at(slot); p != nil {
+		return p.ctx
+	}
+	return 0
+}
 
 // NewRequest describes a request to place.
 type NewRequest struct {
-	ID         RequestID
+	ID RequestID
+	// Slot is the caller's dense index for the request: non-negative,
+	// unique among placed requests, and free for reuse once the request is
+	// removed. Every per-request call after Dispatch names the slot.
+	Slot       int
 	ContextLen int // tokens already cached (prompt length at admission)
+}
+
+// checkNew validates a batch of requests to place.
+func (d *Dispatcher) checkNew(reqs []NewRequest) error {
+	for _, r := range reqs {
+		if r.Slot < 0 {
+			return fmt.Errorf("dispatch: request %d has negative slot %d", r.ID, r.Slot)
+		}
+		if p := d.at(r.Slot); p != nil {
+			return fmt.Errorf("dispatch: request %d: slot %d already holds request %d", r.ID, r.Slot, p.id)
+		}
+		if r.ContextLen < 0 {
+			return fmt.Errorf("dispatch: request %d has negative context", r.ID)
+		}
+	}
+	return nil
 }
 
 // fWorker evaluates f_i of Eq. 7 for worker i given extra heads and bytes.
@@ -266,31 +330,33 @@ func (d *Dispatcher) AttnStepTime() float64 {
 
 // Dispatch places a batch of newly admitted requests (Eq. 7): it solves the
 // min–max LP over variables x_{j,i}, rounds head counts to whole head
-// groups, and commits the placement (Eq. 8). Already-dispatched requests
-// are never re-parallelized here.
-func (d *Dispatcher) Dispatch(reqs []NewRequest) (map[RequestID][]int, error) {
+// groups, and commits the placement (Eq. 8). It returns a copy of each
+// request's per-worker head counts, in the order of reqs.
+// Already-dispatched requests are never re-parallelized here.
+func (d *Dispatcher) Dispatch(reqs []NewRequest) ([][]int, error) {
 	if len(reqs) == 0 {
 		return nil, nil
 	}
-	for _, r := range reqs {
-		if _, dup := d.place[r.ID]; dup {
-			return nil, fmt.Errorf("dispatch: request %d already placed", r.ID)
-		}
-		if r.ContextLen < 0 {
-			return nil, fmt.Errorf("dispatch: request %d has negative context", r.ID)
-		}
+	if err := d.checkNew(reqs); err != nil {
+		return nil, err
 	}
 	x, err := d.solvePlacement(reqs, nil)
 	if err != nil {
 		return nil, err
 	}
+	return d.commitBatch(reqs, x), nil
+}
+
+// commitBatch commits solved placements for a batch and returns copies of
+// them.
+func (d *Dispatcher) commitBatch(reqs []NewRequest, x [][]int) [][]int {
 	d.Dispatches++
-	out := make(map[RequestID][]int, len(reqs))
+	out := make([][]int, len(reqs))
 	for j, r := range reqs {
-		d.commit(r.ID, r.ContextLen, x[j])
-		out[r.ID] = append([]int(nil), x[j]...)
+		d.commit(r.Slot, r.ID, r.ContextLen, x[j])
+		out[j] = append([]int(nil), x[j]...)
 	}
-	return out, nil
+	return out
 }
 
 // CanFit reports whether the new requests could possibly fit: total free
@@ -642,10 +708,14 @@ func repairCapacity(groups []int, used, caps []float64, perGroupBytes float64) e
 	return nil
 }
 
-// commit applies a placement and updates h, g (Eq. 8).
-func (d *Dispatcher) commit(id RequestID, ctxLen int, x []int) {
-	d.place[id] = x
-	d.ctxLen[id] = ctxLen
+// commit places request id in slot and updates h, g (Eq. 8).
+func (d *Dispatcher) commit(slot int, id RequestID, ctxLen int, x []int) {
+	if slot >= len(d.slots) {
+		d.slots = append(d.slots, make([]placed, slot+1-len(d.slots))...)
+	}
+	d.slots[slot] = placed{id: id, x: x, ctx: ctxLen, pos: len(d.live)}
+	d.live = append(d.live, slot)
+	d.ctxTotal += int64(ctxLen)
 	for i, heads := range x {
 		if heads == 0 {
 			continue
@@ -655,15 +725,14 @@ func (d *Dispatcher) commit(id RequestID, ctxLen int, x []int) {
 	}
 }
 
-// release removes a request's load without forgetting which devices to
-// subtract from.
-func (d *Dispatcher) release(id RequestID) {
-	x, ok := d.place[id]
-	if !ok {
+// release removes the load of the request in slot and frees the slot.
+func (d *Dispatcher) release(slot int) {
+	p := d.at(slot)
+	if p == nil {
 		return
 	}
-	l := float64(d.ctxLen[id])
-	for i, heads := range x {
+	l := float64(p.ctx)
+	for i, heads := range p.x {
 		if heads == 0 {
 			continue
 		}
@@ -676,35 +745,45 @@ func (d *Dispatcher) release(id RequestID) {
 			d.g[i] = 0
 		}
 	}
-	delete(d.place, id)
-	delete(d.ctxLen, id)
+	d.ctxTotal -= int64(p.ctx)
+	last := d.live[len(d.live)-1]
+	d.live[p.pos] = last
+	d.slots[last].pos = p.pos
+	d.live = d.live[:len(d.live)-1]
+	*p = placed{}
 }
 
-// Remove drops a finished (or evicted) request.
-func (d *Dispatcher) Remove(id RequestID) { d.release(id) }
+// Remove drops a finished (or evicted) request, freeing its slot. Removing
+// a free slot is a no-op.
+func (d *Dispatcher) Remove(slot int) { d.release(slot) }
 
 // Clear drops every tracked request, returning the dispatcher to its
 // empty state — the whole-instance teardown a replica failure needs.
+// Requests are released in ascending ID order, which fixes the
+// floating-point order of the h, g subtractions.
 func (d *Dispatcher) Clear() {
-	for _, id := range d.Requests() {
-		d.release(id)
+	order := slices.Clone(d.live)
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(d.slots[a].id, d.slots[b].id) })
+	for _, slot := range order {
+		d.release(slot)
 	}
 }
 
-// ExtendContext grows a request by n freshly generated tokens, increasing
-// g on every device holding its heads. It reports the devices whose
-// capacity the growth overflows (empty when all fits).
-func (d *Dispatcher) ExtendContext(id RequestID, n int) ([]int, error) {
-	x, ok := d.place[id]
-	if !ok {
-		return nil, fmt.Errorf("dispatch: unknown request %d", id)
+// ExtendContext grows the request in slot by n freshly generated tokens,
+// increasing g on every device holding its heads. It reports the devices
+// whose capacity the growth overflows (empty when all fits).
+func (d *Dispatcher) ExtendContext(slot, n int) ([]int, error) {
+	p := d.at(slot)
+	if p == nil {
+		return nil, fmt.Errorf("dispatch: no request in slot %d", slot)
 	}
 	if n < 0 {
 		return nil, fmt.Errorf("dispatch: negative extension %d", n)
 	}
-	d.ctxLen[id] += n
+	p.ctx += n
+	d.ctxTotal += int64(n)
 	var overflow []int
-	for i, heads := range x {
+	for i, heads := range p.x {
 		if heads == 0 {
 			continue
 		}
@@ -729,14 +808,26 @@ const idealBuckets = 24
 // RebalanceCompute guards its threshold decision against that,
 // re-solving cold near the boundary.
 func (d *Dispatcher) IdealAttnTime() (float64, error) {
-	if len(d.place) == 0 {
+	if len(d.live) == 0 {
 		return 0, nil
 	}
 	// Warm solves through this public probe are deliberately NOT counted
 	// in LPWarmStarts: that counter means "accepted by the decision
 	// guards", and only RebalanceCompute applies them.
-	z, _, err := d.idealAttn(bucketByContext(d.Requests(), d.ctxLen, idealBuckets))
+	z, _, err := d.idealAttn(d.contextBuckets())
 	return z, err
+}
+
+// contextBuckets buckets the live requests' context lengths for the ideal
+// relaxation. Bucketing sorts the lengths, so the slab's order is
+// invisible.
+func (d *Dispatcher) contextBuckets() []bucket {
+	lens := d.lensBuf[:0]
+	for _, slot := range d.live {
+		lens = append(lens, d.slots[slot].ctx)
+	}
+	d.lensBuf = lens
+	return bucketByContext(lens, idealBuckets)
 }
 
 // warmIdealFloor: a warm ideal objective at or below this absolute value
@@ -943,17 +1034,12 @@ const lbSafety = 1 - 1e-9
 // could absorb load free, so the average certifies nothing). Returns 0
 // when no bound applies.
 func (d *Dispatcher) idealLowerBound() float64 {
-	n := len(d.place)
+	n := len(d.live)
 	if n == 0 {
 		return 0
 	}
 	headTot := float64(d.cfg.Heads) * float64(n)
-	var ctxTot int64
-	//hetis:ordered integer sum; int64 addition is commutative, so map order cannot change the total
-	for _, l := range d.ctxLen {
-		ctxTot += int64(l)
-	}
-	byteTot := float64(ctxTot) * d.perHeadTokenBytes * float64(d.cfg.Heads)
+	byteTot := float64(d.ctxTotal) * d.perHeadTokenBytes * float64(d.cfg.Heads)
 
 	var maxFixed float64
 	headOK, byteOK := true, true
@@ -1011,13 +1097,9 @@ type bucket struct {
 	count int
 }
 
-// bucketByContext groups requests into at most n buckets of similar
-// context length.
-func bucketByContext(ids []RequestID, ctxLen map[RequestID]int, n int) []bucket {
-	lens := make([]int, len(ids))
-	for k, id := range ids {
-		lens[k] = ctxLen[id]
-	}
+// bucketByContext groups context lengths into at most n buckets of
+// similar length. It sorts lens in place.
+func bucketByContext(lens []int, n int) []bucket {
 	sort.Ints(lens)
 	if n > len(lens) {
 		n = len(lens)
@@ -1041,6 +1123,7 @@ func bucketByContext(ids []RequestID, ctxLen map[RequestID]int, n int) []bucket 
 // Redispatch is the outcome of one §5.3 rebalancing action.
 type Redispatch struct {
 	Request RequestID
+	Slot    int
 	Old     []int // heads per worker before
 	New     []int // heads per worker after
 	// MovedHeads is the number of heads that changed device.
@@ -1049,12 +1132,13 @@ type Redispatch struct {
 
 // RebalanceCompute implements §5.3.1: if the current Attention time exceeds
 // the ideal by more than theta (fractional, default 0.5), re-dispatch the
-// single request contributing most to the bottleneck device. Requests in
-// `frozen` are skipped (the engine freezes recently migrated requests to
-// damp ping-pong, the role of the paper's Θ stop condition). Returns nil
-// when no action is needed.
-func (d *Dispatcher) RebalanceCompute(theta float64, frozen map[RequestID]bool) (*Redispatch, error) {
-	if len(d.place) == 0 {
+// single request contributing most to the bottleneck device. Slots marked
+// in `frozen` (indexed by slot; slots past its end are not frozen) are
+// skipped (the engine freezes recently migrated requests to damp
+// ping-pong, the role of the paper's Θ stop condition). Returns nil when
+// no action is needed.
+func (d *Dispatcher) RebalanceCompute(theta float64, frozen []bool) (*Redispatch, error) {
+	if len(d.live) == 0 {
 		return nil, nil
 	}
 	current := d.AttnStepTime()
@@ -1071,7 +1155,7 @@ func (d *Dispatcher) RebalanceCompute(theta float64, frozen map[RequestID]bool) 
 			return nil, nil
 		}
 	}
-	buckets := bucketByContext(d.Requests(), d.ctxLen, idealBuckets)
+	buckets := d.contextBuckets()
 	// Upper bound: re-evaluating the previous relaxation optimum on the
 	// current buckets certifies ideal ≤ U, so current > U·(1+θ) proves
 	// the redispatch is warranted without solving — the flagrant-
@@ -1117,7 +1201,7 @@ func (d *Dispatcher) RebalanceCompute(theta float64, frozen map[RequestID]bool) 
 
 // redispatchBottleneck performs the §5.3.1 action: re-dispatch the
 // unfrozen request contributing most to the bottleneck device.
-func (d *Dispatcher) redispatchBottleneck(frozen map[RequestID]bool) (*Redispatch, error) {
+func (d *Dispatcher) redispatchBottleneck(frozen []bool) (*Redispatch, error) {
 	// Bottleneck device.
 	bott := 0
 	maxT := -1.0
@@ -1127,45 +1211,54 @@ func (d *Dispatcher) redispatchBottleneck(frozen map[RequestID]bool) (*Redispatc
 			bott = i
 		}
 	}
-	// Request with the largest contribution to the bottleneck: heads ×
-	// per-head cost + bytes × per-byte cost. Iterate in ID order so ties
-	// resolve deterministically.
-	var victim RequestID = -1
-	var maxContrib float64
-	for _, id := range d.Requests() {
-		if frozen[id] {
-			continue
-		}
-		x := d.place[id]
-		heads := float64(x[bott])
-		if heads == 0 {
-			continue
-		}
-		w := d.workers[bott]
-		contrib := w.Attn.A*heads + w.Attn.B*heads*d.perHeadTokenBytes*float64(d.ctxLen[id])
-		if contrib > maxContrib {
-			maxContrib = contrib
-			victim = id
-		}
-	}
+	victim := d.bottleneckVictim(bott, frozen)
 	if victim < 0 {
 		return nil, nil
 	}
 	return d.redispatchRequest(victim)
 }
 
-// redispatchRequest removes the request's load and re-places it via Eq. 7.
-func (d *Dispatcher) redispatchRequest(id RequestID) (*Redispatch, error) {
-	old := d.Placement(id)
-	ctx := d.ctxLen[id]
-	d.release(id)
-	x, err := d.solvePlacement([]NewRequest{{ID: id, ContextLen: ctx}}, nil)
+// bottleneckVictim picks the unfrozen slot with the largest contribution
+// to worker bott: heads × per-head cost + bytes × per-byte cost. Ties go
+// to the lowest request ID, the choice of a scan in ID order. Returns -1
+// when no unfrozen request holds heads there.
+func (d *Dispatcher) bottleneckVictim(bott int, frozen []bool) int {
+	w := d.workers[bott]
+	victim := -1
+	var victimID RequestID
+	var maxContrib float64
+	for _, slot := range d.live {
+		if slot < len(frozen) && frozen[slot] {
+			continue
+		}
+		p := &d.slots[slot]
+		heads := float64(p.x[bott])
+		if heads == 0 {
+			continue
+		}
+		contrib := w.Attn.A*heads + w.Attn.B*heads*d.perHeadTokenBytes*float64(p.ctx)
+		if contrib > maxContrib || (victim >= 0 && contrib == maxContrib && p.id < victimID) {
+			maxContrib = contrib
+			victim, victimID = slot, p.id
+		}
+	}
+	return victim
+}
+
+// redispatchRequest removes the load of the request in slot and re-places
+// it via Eq. 7, keeping its slot.
+func (d *Dispatcher) redispatchRequest(slot int) (*Redispatch, error) {
+	old := d.Placement(slot)
+	p := d.at(slot)
+	id, ctx := p.id, p.ctx
+	d.release(slot)
+	x, err := d.solvePlacement([]NewRequest{{ID: id, Slot: slot, ContextLen: ctx}}, nil)
 	if err != nil {
 		// Roll back to the old placement.
-		d.commit(id, ctx, old)
+		d.commit(slot, id, ctx, old)
 		return nil, err
 	}
-	d.commit(id, ctx, x[0])
+	d.commit(slot, id, ctx, x[0])
 	d.Redispatches++
 	moved := 0
 	for i := range x[0] {
@@ -1174,7 +1267,7 @@ func (d *Dispatcher) redispatchRequest(id RequestID) (*Redispatch, error) {
 			moved += diff
 		}
 	}
-	return &Redispatch{Request: id, Old: old, New: x[0], MovedHeads: moved}, nil
+	return &Redispatch{Request: id, Slot: slot, Old: old, New: x[0], MovedHeads: moved}, nil
 }
 
 // RebalanceMemory implements §5.3.2: when worker idx is memory-exhausted,
@@ -1182,8 +1275,8 @@ func (d *Dispatcher) redispatchRequest(id RequestID) (*Redispatch, error) {
 // (Σg < ΣM); if so, re-dispatch the device's modified-LIFO victim instead
 // of evicting it. latestArrival selects the victim: the request with
 // memory on the device that arrived last (the caller supplies arrival
-// order via the candidate list, newest first).
-func (d *Dispatcher) RebalanceMemory(idx int, newestFirst []RequestID) (*Redispatch, error) {
+// order via the candidate slots, newest first).
+func (d *Dispatcher) RebalanceMemory(idx int, newestFirst []int) (*Redispatch, error) {
 	if idx < 0 || idx >= len(d.workers) {
 		return nil, fmt.Errorf("dispatch: bad worker index %d", idx)
 	}
@@ -1195,12 +1288,12 @@ func (d *Dispatcher) RebalanceMemory(idx int, newestFirst []RequestID) (*Redispa
 	if sumG >= sumM {
 		return nil, nil // nothing to gain; caller must evict
 	}
-	for _, id := range newestFirst {
-		x, ok := d.place[id]
-		if !ok || x[idx] == 0 {
+	for _, slot := range newestFirst {
+		p := d.at(slot)
+		if p == nil || p.x[idx] == 0 {
 			continue
 		}
-		rd, err := d.redispatchRequest(id)
+		rd, err := d.redispatchRequest(slot)
 		if err != nil {
 			continue // try the next victim
 		}
@@ -1221,25 +1314,51 @@ func (d *Dispatcher) Utilization() []float64 {
 }
 
 // CheckInvariants validates internal accounting against the per-request
-// placements.
+// placements. The live list and the slab must agree (every live slot
+// listed once at its recorded position, no free slot listed or holding
+// stale state), and the running context total must equal the sum of the
+// live context lengths.
 func (d *Dispatcher) CheckInvariants() error {
 	h := make([]float64, len(d.workers))
 	g := make([]float64, len(d.workers))
 	r := d.cfg.GroupRatio()
-	for _, id := range d.Requests() {
-		x := d.place[id]
+	var ctxTotal int64
+	for k, slot := range d.live {
+		if slot < 0 || slot >= len(d.slots) || d.slots[slot].x == nil {
+			return fmt.Errorf("dispatch: live list names free slot %d", slot)
+		}
+		p := &d.slots[slot]
+		if p.pos != k {
+			return fmt.Errorf("dispatch: slot %d listed at %d, records position %d", slot, k, p.pos)
+		}
+		ctxTotal += int64(p.ctx)
 		total := 0
-		for i, heads := range x {
+		for i, heads := range p.x {
 			if heads%r != 0 {
-				return fmt.Errorf("dispatch: request %d places %d heads on worker %d (not a multiple of r=%d)", id, heads, i, r)
+				return fmt.Errorf("dispatch: request %d places %d heads on worker %d (not a multiple of r=%d)", p.id, heads, i, r)
 			}
 			total += heads
 			h[i] += float64(heads)
-			g[i] += float64(heads) * d.perHeadTokenBytes * float64(d.ctxLen[id])
+			g[i] += float64(heads) * d.perHeadTokenBytes * float64(p.ctx)
 		}
 		if total != d.cfg.Heads {
-			return fmt.Errorf("dispatch: request %d has %d heads placed, want %d", id, total, d.cfg.Heads)
+			return fmt.Errorf("dispatch: request %d has %d heads placed, want %d", p.id, total, d.cfg.Heads)
 		}
+	}
+	live := 0
+	for slot := range d.slots {
+		p := &d.slots[slot]
+		if p.x != nil {
+			live++
+		} else if p.id != 0 || p.ctx != 0 || p.pos != 0 {
+			return fmt.Errorf("dispatch: free slot %d holds stale state", slot)
+		}
+	}
+	if live != len(d.live) {
+		return fmt.Errorf("dispatch: %d live slots in the slab, %d on the live list", live, len(d.live))
+	}
+	if ctxTotal != d.ctxTotal {
+		return fmt.Errorf("dispatch: running context total %d, live requests sum to %d", d.ctxTotal, ctxTotal)
 	}
 	for i := range d.workers {
 		if math.Abs(h[i]-d.h[i]) > 1e-6 {

@@ -62,12 +62,12 @@ func TestNewValidation(t *testing.T) {
 
 func TestSingleWorkerGetsAllHeads(t *testing.T) {
 	d := newDispatcher(t, model.OPT30B, testWorkers(1e12))
-	got, err := d.Dispatch([]NewRequest{{ID: 1, ContextLen: 500}})
+	got, err := d.Dispatch([]NewRequest{{ID: 1, Slot: 1, ContextLen: 500}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[1][0] != model.OPT30B.Heads {
-		t.Fatalf("placement %v, want all %d heads on worker 0", got[1], model.OPT30B.Heads)
+	if got[0][0] != model.OPT30B.Heads {
+		t.Fatalf("placement %v, want all %d heads on worker 0", got[0], model.OPT30B.Heads)
 	}
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestSingleWorkerGetsAllHeads(t *testing.T) {
 func TestHeadConservationAndGroupAlignment(t *testing.T) {
 	for _, cfg := range []model.Config{model.OPT30B, model.Llama70B} {
 		d := newDispatcher(t, cfg, testWorkers(1e12, 1e12, 1e12))
-		reqs := []NewRequest{{ID: 1, ContextLen: 1000}, {ID: 2, ContextLen: 200}, {ID: 3, ContextLen: 4000}}
+		reqs := []NewRequest{{ID: 1, Slot: 1, ContextLen: 1000}, {ID: 2, Slot: 2, ContextLen: 200}, {ID: 3, Slot: 3, ContextLen: 4000}}
 		got, err := d.Dispatch(reqs)
 		if err != nil {
 			t.Fatal(err)
@@ -105,12 +105,12 @@ func TestLightLoadStaysLocal(t *testing.T) {
 	// Fig. 14 behaviour: under light load the network overhead of remote
 	// attention outweighs the compute gain, so heads stay on the primary.
 	d := newDispatcher(t, model.Llama13B, testWorkers(1e12, 1e12))
-	got, err := d.Dispatch([]NewRequest{{ID: 1, ContextLen: 100}})
+	got, err := d.Dispatch([]NewRequest{{ID: 1, Slot: 1, ContextLen: 100}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[1][1] != 0 {
-		t.Errorf("light load should stay on primary, placement %v", got[1])
+	if got[0][1] != 0 {
+		t.Errorf("light load should stay on primary, placement %v", got[0])
 	}
 }
 
@@ -120,7 +120,7 @@ func TestHeavyLoadSpills(t *testing.T) {
 	d := newDispatcher(t, model.Llama13B, testWorkers(1e12, 1e12, 1e12))
 	var reqs []NewRequest
 	for i := 0; i < 64; i++ {
-		reqs = append(reqs, NewRequest{ID: int64(i), ContextLen: 4000})
+		reqs = append(reqs, NewRequest{ID: int64(i), Slot: i, ContextLen: 4000})
 	}
 	got, err := d.Dispatch(reqs)
 	if err != nil {
@@ -145,21 +145,21 @@ func TestCapacityConstraintRespected(t *testing.T) {
 	// Capacity for 4 heads of a 1000-token request on the primary.
 	primCap := 4 * 1000 * perHeadToken
 	d := newDispatcher(t, cfg, testWorkers(primCap, 1e12))
-	got, err := d.Dispatch([]NewRequest{{ID: 1, ContextLen: 1000}})
+	got, err := d.Dispatch([]NewRequest{{ID: 1, Slot: 1, ContextLen: 1000}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[1][0] > 4 {
-		t.Errorf("primary got %d heads, capacity only allows 4", got[1][0])
+	if got[0][0] > 4 {
+		t.Errorf("primary got %d heads, capacity only allows 4", got[0][0])
 	}
-	if got[1][0]+got[1][1] != cfg.Heads {
-		t.Errorf("heads lost: %v", got[1])
+	if got[0][0]+got[0][1] != cfg.Heads {
+		t.Errorf("heads lost: %v", got[0])
 	}
 }
 
 func TestDispatchFailsWhenNothingFits(t *testing.T) {
 	d := newDispatcher(t, model.Llama13B, testWorkers(1000, 1000))
-	if _, err := d.Dispatch([]NewRequest{{ID: 1, ContextLen: 100000}}); err == nil {
+	if _, err := d.Dispatch([]NewRequest{{ID: 1, Slot: 1, ContextLen: 100000}}); err == nil {
 		t.Fatal("oversized request should fail to place")
 	}
 	// Failure must not leave residue.
@@ -175,20 +175,20 @@ func TestCanFit(t *testing.T) {
 	cfg := model.Llama13B
 	perTok := float64(cfg.Heads) * float64(cfg.KVBytesPerTokenHeadGroup())
 	d := newDispatcher(t, cfg, testWorkers(perTok*150, perTok*150))
-	if !d.CanFit([]NewRequest{{ID: 1, ContextLen: 100}}) {
+	if !d.CanFit([]NewRequest{{ID: 1, Slot: 1, ContextLen: 100}}) {
 		t.Error("small request should fit")
 	}
-	if d.CanFit([]NewRequest{{ID: 1, ContextLen: 1000}}) {
+	if d.CanFit([]NewRequest{{ID: 1, Slot: 1, ContextLen: 1000}}) {
 		t.Error("oversized request should not fit")
 	}
 }
 
 func TestDuplicateDispatchRejected(t *testing.T) {
 	d := newDispatcher(t, model.OPT30B, testWorkers(1e12))
-	if _, err := d.Dispatch([]NewRequest{{ID: 1, ContextLen: 10}}); err != nil {
+	if _, err := d.Dispatch([]NewRequest{{ID: 1, Slot: 1, ContextLen: 10}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Dispatch([]NewRequest{{ID: 1, ContextLen: 10}}); err == nil {
+	if _, err := d.Dispatch([]NewRequest{{ID: 1, Slot: 1, ContextLen: 10}}); err == nil {
 		t.Fatal("duplicate id should be rejected")
 	}
 }
@@ -198,7 +198,7 @@ func TestExtendContextAndOverflow(t *testing.T) {
 	perHeadToken := float64(cfg.KVBytesPerTokenHeadGroup())
 	cap0 := float64(cfg.Heads) * 110 * perHeadToken // fits 110 tokens of all heads
 	d := newDispatcher(t, cfg, testWorkers(cap0))
-	if _, err := d.Dispatch([]NewRequest{{ID: 1, ContextLen: 100}}); err != nil {
+	if _, err := d.Dispatch([]NewRequest{{ID: 1, Slot: 1, ContextLen: 100}}); err != nil {
 		t.Fatal(err)
 	}
 	over, err := d.ExtendContext(1, 5)
@@ -224,13 +224,13 @@ func TestRemoveReleasesLoad(t *testing.T) {
 	d := newDispatcher(t, model.OPT30B, testWorkers(1e12, 1e12))
 	var reqs []NewRequest
 	for i := 0; i < 16; i++ {
-		reqs = append(reqs, NewRequest{ID: int64(i), ContextLen: 2000})
+		reqs = append(reqs, NewRequest{ID: int64(i), Slot: i, ContextLen: 2000})
 	}
 	if _, err := d.Dispatch(reqs); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 16; i++ {
-		d.Remove(int64(i))
+		d.Remove(i)
 	}
 	if d.AttnStepTime() != 0 {
 		t.Fatalf("load remains after removing everything: %g", d.AttnStepTime())
@@ -244,7 +244,7 @@ func TestIdealVsCurrent(t *testing.T) {
 	d := newDispatcher(t, model.Llama13B, testWorkers(1e12, 1e12))
 	var reqs []NewRequest
 	for i := 0; i < 32; i++ {
-		reqs = append(reqs, NewRequest{ID: int64(i), ContextLen: 1500})
+		reqs = append(reqs, NewRequest{ID: int64(i), Slot: i, ContextLen: 1500})
 	}
 	if _, err := d.Dispatch(reqs); err != nil {
 		t.Fatal(err)
@@ -266,13 +266,13 @@ func TestRebalanceComputeAfterSkew(t *testing.T) {
 	// Build skew: dispatch one request, then grow its context massively so
 	// its device becomes the bottleneck.
 	d := newDispatcher(t, model.Llama13B, testWorkers(1e12, 1e12, 1e12))
-	if _, err := d.Dispatch([]NewRequest{{ID: 1, ContextLen: 200}}); err != nil {
+	if _, err := d.Dispatch([]NewRequest{{ID: 1, Slot: 1, ContextLen: 200}}); err != nil {
 		t.Fatal(err)
 	}
 	// Admit background requests so the pool has load to balance against.
 	var reqs []NewRequest
 	for i := 2; i < 20; i++ {
-		reqs = append(reqs, NewRequest{ID: int64(i), ContextLen: 500})
+		reqs = append(reqs, NewRequest{ID: int64(i), Slot: i, ContextLen: 500})
 	}
 	if _, err := d.Dispatch(reqs); err != nil {
 		t.Fatal(err)
@@ -305,7 +305,7 @@ func TestRebalanceComputeNoActionWhenBalanced(t *testing.T) {
 	d := newDispatcher(t, model.Llama13B, testWorkers(1e12, 1e12))
 	var reqs []NewRequest
 	for i := 0; i < 8; i++ {
-		reqs = append(reqs, NewRequest{ID: int64(i), ContextLen: 400})
+		reqs = append(reqs, NewRequest{ID: int64(i), Slot: i, ContextLen: 400})
 	}
 	if _, err := d.Dispatch(reqs); err != nil {
 		t.Fatal(err)
@@ -326,10 +326,10 @@ func TestRebalanceMemoryMovesVictim(t *testing.T) {
 	// plenty.
 	primCap := float64(cfg.Heads) * 220 * perHeadToken
 	d := newDispatcher(t, cfg, testWorkers(primCap, 1e12))
-	if _, err := d.Dispatch([]NewRequest{{ID: 1, ContextLen: 100}}); err != nil {
+	if _, err := d.Dispatch([]NewRequest{{ID: 1, Slot: 1, ContextLen: 100}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Dispatch([]NewRequest{{ID: 2, ContextLen: 100}}); err != nil {
+	if _, err := d.Dispatch([]NewRequest{{ID: 2, Slot: 2, ContextLen: 100}}); err != nil {
 		t.Fatal(err)
 	}
 	// Decode pushes the primary over; request 2 (newest) should move.
@@ -340,7 +340,7 @@ func TestRebalanceMemoryMovesVictim(t *testing.T) {
 	if len(over) == 0 {
 		t.Fatal("expected overflow on the primary")
 	}
-	rd, err := d.RebalanceMemory(over[0], []RequestID{2, 1})
+	rd, err := d.RebalanceMemory(over[0], []int{2, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,14 +364,14 @@ func TestRebalanceMemoryDeclinesWhenClusterFull(t *testing.T) {
 	perHeadToken := float64(cfg.KVBytesPerTokenHeadGroup())
 	cap0 := float64(cfg.Heads) * 100 * perHeadToken
 	d := newDispatcher(t, cfg, testWorkers(cap0, cap0))
-	if _, err := d.Dispatch([]NewRequest{{ID: 1, ContextLen: 100}}); err != nil {
+	if _, err := d.Dispatch([]NewRequest{{ID: 1, Slot: 1, ContextLen: 100}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Dispatch([]NewRequest{{ID: 2, ContextLen: 100}}); err != nil {
+	if _, err := d.Dispatch([]NewRequest{{ID: 2, Slot: 2, ContextLen: 100}}); err != nil {
 		t.Fatal(err)
 	}
 	// Entire cluster is full: Σg == ΣM, so re-dispatching cannot help.
-	rd, err := d.RebalanceMemory(0, []RequestID{2, 1})
+	rd, err := d.RebalanceMemory(0, []int{2, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +390,7 @@ func TestFasterWorkerGetsMoreHeads(t *testing.T) {
 	d := newDispatcher(t, cfg, ws)
 	var reqs []NewRequest
 	for i := 0; i < 16; i++ {
-		reqs = append(reqs, NewRequest{ID: int64(i), ContextLen: 2000})
+		reqs = append(reqs, NewRequest{ID: int64(i), Slot: i, ContextLen: 2000})
 	}
 	got, err := d.Dispatch(reqs)
 	if err != nil {
@@ -421,20 +421,20 @@ func TestPropertyInvariantsUnderRandomChurn(t *testing.T) {
 			case 0:
 				id := next
 				next++
-				if _, err := d.Dispatch([]NewRequest{{ID: id, ContextLen: 100 + rng.Intn(2000)}}); err == nil {
+				if _, err := d.Dispatch([]NewRequest{{ID: id, Slot: int(id), ContextLen: 100 + rng.Intn(2000)}}); err == nil {
 					live = append(live, id)
 				}
 			case 1:
 				if len(live) > 0 {
 					k := rng.Intn(len(live))
-					if _, err := d.ExtendContext(live[k], rng.Intn(50)); err != nil {
+					if _, err := d.ExtendContext(int(live[k]), rng.Intn(50)); err != nil {
 						return false
 					}
 				}
 			case 2:
 				if len(live) > 0 {
 					k := rng.Intn(len(live))
-					d.Remove(live[k])
+					d.Remove(int(live[k]))
 					live = append(live[:k], live[k+1:]...)
 				}
 			}
@@ -454,7 +454,7 @@ func TestUtilization(t *testing.T) {
 	perHeadToken := float64(cfg.KVBytesPerTokenHeadGroup())
 	cap0 := float64(cfg.Heads) * 200 * perHeadToken
 	d := newDispatcher(t, cfg, testWorkers(cap0))
-	if _, err := d.Dispatch([]NewRequest{{ID: 1, ContextLen: 100}}); err != nil {
+	if _, err := d.Dispatch([]NewRequest{{ID: 1, Slot: 1, ContextLen: 100}}); err != nil {
 		t.Fatal(err)
 	}
 	u := d.Utilization()

@@ -94,14 +94,12 @@ func (d *Dispatcher) fWorkerAt(i int, heads, bytes float64) float64 {
 // DispatchExcluding places new requests like Dispatch but treats the given
 // worker indices as unavailable (zero capacity) — failure injection for a
 // device that went unhealthy between profiling and serving.
-func (d *Dispatcher) DispatchExcluding(reqs []NewRequest, excluded []int) (map[RequestID][]int, error) {
+func (d *Dispatcher) DispatchExcluding(reqs []NewRequest, excluded []int) ([][]int, error) {
 	if len(reqs) == 0 {
 		return nil, nil
 	}
-	for _, r := range reqs {
-		if _, dup := d.place[r.ID]; dup {
-			return nil, fmt.Errorf("dispatch: request %d already placed", r.ID)
-		}
+	if err := d.checkNew(reqs); err != nil {
+		return nil, err
 	}
 	ex := make(map[int]bool, len(excluded))
 	for _, i := range excluded {
@@ -114,11 +112,5 @@ func (d *Dispatcher) DispatchExcluding(reqs []NewRequest, excluded []int) (map[R
 	if err != nil {
 		return nil, err
 	}
-	d.Dispatches++
-	out := make(map[RequestID][]int, len(reqs))
-	for j, r := range reqs {
-		d.commit(r.ID, r.ContextLen, x[j])
-		out[r.ID] = append([]int(nil), x[j]...)
-	}
-	return out, nil
+	return d.commitBatch(reqs, x), nil
 }

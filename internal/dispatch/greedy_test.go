@@ -25,8 +25,8 @@ func TestGreedyConservesHeads(t *testing.T) {
 		d := newDispatcher(t, cfg, testWorkers(1e12, 1e12, 1e12))
 		d.SetPolicy(PolicyGreedy)
 		got, err := d.Dispatch([]NewRequest{
-			{ID: 1, ContextLen: 1000},
-			{ID: 2, ContextLen: 3000},
+			{ID: 1, Slot: 1, ContextLen: 1000},
+			{ID: 2, Slot: 2, ContextLen: 3000},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -56,19 +56,19 @@ func TestGreedyRespectsCapacity(t *testing.T) {
 	primCap := 4 * 1000 * perHeadToken // room for 4 heads of a 1000-token req
 	d := newDispatcher(t, cfg, testWorkers(primCap, 1e12))
 	d.SetPolicy(PolicyGreedy)
-	got, err := d.Dispatch([]NewRequest{{ID: 1, ContextLen: 1000}})
+	got, err := d.Dispatch([]NewRequest{{ID: 1, Slot: 1, ContextLen: 1000}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[1][0] > 4 {
-		t.Errorf("greedy put %d heads on a 4-head-capacity primary", got[1][0])
+	if got[0][0] > 4 {
+		t.Errorf("greedy put %d heads on a 4-head-capacity primary", got[0][0])
 	}
 }
 
 func TestGreedyFailsCleanlyWhenFull(t *testing.T) {
 	d := newDispatcher(t, model.Llama13B, testWorkers(100, 100))
 	d.SetPolicy(PolicyGreedy)
-	if _, err := d.Dispatch([]NewRequest{{ID: 1, ContextLen: 100000}}); err == nil {
+	if _, err := d.Dispatch([]NewRequest{{ID: 1, Slot: 1, ContextLen: 100000}}); err == nil {
 		t.Fatal("oversized request should fail")
 	}
 	if d.AttnStepTime() != 0 {
@@ -84,7 +84,7 @@ func TestGreedyVsLPQuality(t *testing.T) {
 		d.SetPolicy(p)
 		var reqs []NewRequest
 		for i := 0; i < 24; i++ {
-			reqs = append(reqs, NewRequest{ID: int64(i), ContextLen: 1000 + 200*(i%5)})
+			reqs = append(reqs, NewRequest{ID: int64(i), Slot: i, ContextLen: 1000 + 200*(i%5)})
 		}
 		if _, err := d.Dispatch(reqs); err != nil {
 			t.Fatal(err)
@@ -104,12 +104,12 @@ func TestGreedyVsLPQuality(t *testing.T) {
 
 func TestRebalanceComputeRespectsFrozen(t *testing.T) {
 	d := newDispatcher(t, model.Llama13B, testWorkers(1e12, 1e12, 1e12))
-	if _, err := d.Dispatch([]NewRequest{{ID: 1, ContextLen: 200}}); err != nil {
+	if _, err := d.Dispatch([]NewRequest{{ID: 1, Slot: 1, ContextLen: 200}}); err != nil {
 		t.Fatal(err)
 	}
 	var reqs []NewRequest
 	for i := 2; i < 20; i++ {
-		reqs = append(reqs, NewRequest{ID: int64(i), ContextLen: 500})
+		reqs = append(reqs, NewRequest{ID: int64(i), Slot: i, ContextLen: 500})
 	}
 	if _, err := d.Dispatch(reqs); err != nil {
 		t.Fatal(err)
@@ -119,7 +119,7 @@ func TestRebalanceComputeRespectsFrozen(t *testing.T) {
 	}
 	// With request 1 frozen, the re-dispatcher must not touch it even
 	// though it is the dominant contributor.
-	rd, err := d.RebalanceCompute(0.5, map[RequestID]bool{1: true})
+	rd, err := d.RebalanceCompute(0.5, []bool{1: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestDispatchExcludingAvoidsFailedWorker(t *testing.T) {
 		d.SetPolicy(policy)
 		var reqs []NewRequest
 		for i := 0; i < 24; i++ {
-			reqs = append(reqs, NewRequest{ID: int64(i), ContextLen: 3000})
+			reqs = append(reqs, NewRequest{ID: int64(i), Slot: i, ContextLen: 3000})
 		}
 		got, err := d.DispatchExcluding(reqs, []int{1})
 		if err != nil {
@@ -153,14 +153,14 @@ func TestDispatchExcludingAvoidsFailedWorker(t *testing.T) {
 
 func TestDispatchExcludingValidation(t *testing.T) {
 	d := newDispatcher(t, model.Llama13B, testWorkers(1e12, 1e12))
-	if _, err := d.DispatchExcluding([]NewRequest{{ID: 1, ContextLen: 10}}, []int{7}); err == nil {
+	if _, err := d.DispatchExcluding([]NewRequest{{ID: 1, Slot: 1, ContextLen: 10}}, []int{7}); err == nil {
 		t.Fatal("out-of-range exclusion should error")
 	}
 	if _, err := d.DispatchExcluding(nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Excluding every worker makes placement impossible.
-	if _, err := d.DispatchExcluding([]NewRequest{{ID: 2, ContextLen: 10}}, []int{0, 1}); err == nil {
+	if _, err := d.DispatchExcluding([]NewRequest{{ID: 2, Slot: 2, ContextLen: 10}}, []int{0, 1}); err == nil {
 		t.Fatal("excluding all workers should fail")
 	}
 }

@@ -39,7 +39,7 @@ func TestDispatchPlacementProperties(t *testing.T) {
 			// Admit a batch of 1-4 requests with random contexts.
 			batch := make([]NewRequest, 1+rng.Intn(4))
 			for i := range batch {
-				batch[i] = NewRequest{ID: nextID, ContextLen: 16 + rng.Intn(4000)}
+				batch[i] = NewRequest{ID: nextID, Slot: int(nextID), ContextLen: 16 + rng.Intn(4000)}
 				nextID++
 			}
 			if !d.CanFit(batch) {
@@ -87,14 +87,14 @@ func TestDispatchPlacementProperties(t *testing.T) {
 			// accounting must stay exact either way.
 			if len(live) > 0 {
 				id := live[rng.Intn(len(live))]
-				if _, err := d.ExtendContext(id, rng.Intn(256)); err != nil {
+				if _, err := d.ExtendContext(int(id), rng.Intn(256)); err != nil {
 					t.Fatalf("round %d: ExtendContext: %v", round, err)
 				}
 			}
 			// Finish a random request half the time.
 			if len(live) > 0 && rng.Intn(2) == 0 {
 				i := rng.Intn(len(live))
-				d.Remove(live[i])
+				d.Remove(int(live[i]))
 				live = append(live[:i], live[i+1:]...)
 			}
 			if err := d.CheckInvariants(); err != nil {

@@ -9,7 +9,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 
 	"hetis/internal/hardware"
 	"hetis/internal/metrics"
@@ -292,14 +291,8 @@ type request struct {
 	wl        workload.Request
 	generated int // tokens produced so far
 	firstTok  float64
-	evicted   bool
 	// restartCtx is the context length to re-prefill after an eviction.
 	restartCtx int
-	// hauled marks a request whose KV cache survived a replica failure by
-	// being hauled to a survivor: its next "prefill" only re-establishes
-	// attention state (one token of prefill work) while cache accounting
-	// still charges the full hauled context.
-	hauled bool
 	// prio is the request's tier priority under chaos (higher preempts
 	// lower); 0 outside tiered runs.
 	prio int
@@ -307,7 +300,19 @@ type request struct {
 	// it), the key of every "newest first" victim choice. It replaced the
 	// fleet-level map[int64]int64 so the selection loops read a field
 	// instead of hashing.
-	seq int64
+	seq     int64
+	evicted bool
+	// hauled marks a request whose KV cache survived a replica failure by
+	// being hauled to a survivor: its next "prefill" only re-establishes
+	// attention state (one token of prefill work) while cache accounting
+	// still charges the full hauled context.
+	hauled bool
+	// slot is the request's index in the slot table of the hetis instance
+	// holding it (hetisInstance.slots), meaningful only while that table
+	// points back at the request. It packs into the bools' padding:
+	// megascale runs hold a million requests, and the struct stays at 96
+	// bytes.
+	slot int32
 }
 
 func (r *request) contextLen() int { return r.wl.PromptLen + r.generated }
@@ -595,31 +600,4 @@ func pickLeastLoaded(loads []int) int {
 		}
 	}
 	return best
-}
-
-// sortedKeys returns a map's int keys in ascending order, for
-// deterministic iteration.
-func sortedKeys(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// newestFirst sorts request IDs by arrival sequence descending, reading
-// each request's seq through the instance's byID index. IDs without a
-// live request sort oldest, mirroring the zero-value reads the old
-// fleet-level sequence map gave them.
-func newestFirst(ids []int64, byID map[int64]*request) []int64 {
-	out := append([]int64(nil), ids...)
-	seqOf := func(id int64) int64 {
-		if r, ok := byID[id]; ok {
-			return r.seq
-		}
-		return 0
-	}
-	sort.Slice(out, func(i, j int) bool { return seqOf(out[i]) > seqOf(out[j]) })
-	return out
 }

@@ -1,9 +1,10 @@
 package engine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"hetis/internal/dispatch"
@@ -153,18 +154,22 @@ type hetisInstance struct {
 
 	waiting *waitQueue
 	running []*request
-	byID    map[int64]*request
 	busy    bool
+	// slots is the per-request state of every admitted request, indexed by
+	// the dense slot it holds (request.slot) — the same index its
+	// dispatcher placement and block-manager entries live under. A slot is
+	// taken from freeSlots (LIFO) at admission and returns there on finish,
+	// eviction, preemption and teardown, so the table, like every slab
+	// keyed by it, is bounded by the most requests held at once.
+	slots     []slotState
+	freeSlots []int32
+	// cooling holds the migration step of requests evicted while frozen.
+	// The migration cooldown is a property of the (instance, request)
+	// pair: it must survive an evict/requeue on the same instance yet not
+	// follow the request to a survivor after a failure.
+	cooling []migMark
 	// decodeSteps counts decode iterations for the rebalance cadence.
 	decodeSteps int
-	// lastMig records the decode step at which a request last migrated;
-	// recently migrated requests are frozen against re-migration. It stays
-	// a per-instance map (unlike the hot seq field on request) because the
-	// cooldown is a property of the (instance, request) pair — it must
-	// survive an evict/requeue on the same instance yet not follow the
-	// request to a survivor after a failure — and it is touched only on
-	// migrations, far off the decode fast path.
-	lastMig map[int64]int
 	// pendingDelay accumulates blocking-migration time charged to the
 	// next iteration.
 	pendingDelay float64
@@ -176,14 +181,35 @@ type hetisInstance struct {
 	// are recomputed every iteration.
 	decodeMemo map[int]*decodeCost
 	// attnScratch and stillBuf are per-iteration scratch reused across
-	// decode steps; overflowHit is the worker-indexed overflow marker that
-	// replaces a per-step map.
+	// decode steps; overflowHit (set when anyOverflow is) is the
+	// worker-indexed overflow marker that replaces a per-step map;
+	// frozenBuf and victimBuf are the rebalance and memory-pressure
+	// scratch.
 	attnScratch []float64
 	stillBuf    []*request
 	overflowHit []bool
+	anyOverflow bool
+	frozenBuf   []bool
+	victimBuf   []int
 
 	res *Result
 	cfg *Config
+}
+
+// slotState is one slot's entry in the instance's slot table.
+type slotState struct {
+	req *request // nil while the slot is free
+	// lastMig is the decode step at which the request last migrated
+	// (when migrated is set); recently migrated requests are frozen
+	// against re-migration.
+	lastMig  int
+	migrated bool
+}
+
+// migMark is the migration step of a request evicted while frozen.
+type migMark struct {
+	id   int64
+	step int
 }
 
 // decodeCost is the memoized dense side of one decode iteration.
@@ -198,14 +224,12 @@ type decodeCost struct {
 func (h *Hetis) newInstance(idx int, in parallelizer.Instance, res *Result) (*hetisInstance, error) {
 	cfg := h.cfg
 	inst := &hetisInstance{
-		eng:     h,
-		idx:     idx,
-		stages:  in.Stages,
-		pool:    in.AttentionWorkers,
-		byID:    make(map[int64]*request),
-		lastMig: make(map[int64]int),
-		res:     res,
-		cfg:     &h.cfg,
+		eng:    h,
+		idx:    idx,
+		stages: in.Stages,
+		pool:   in.AttentionWorkers,
+		res:    res,
+		cfg:    &h.cfg,
 	}
 	groupTok := cfg.Model.KVBytesPerTokenHeadGroup() * int64(cfg.Model.Layers)
 
@@ -269,6 +293,13 @@ func (h *Hetis) newInstance(idx int, in parallelizer.Instance, res *Result) (*he
 
 // Run implements Engine.
 func (h *Hetis) Run(reqs []workload.Request, horizon float64) (*Result, error) {
+	res, _, err := h.run(reqs, horizon)
+	return res, err
+}
+
+// run is Run that also returns the fleet it served with, so tests can
+// inspect the instances' final state.
+func (h *Hetis) run(reqs []workload.Request, horizon float64) (*Result, *hetisFleet, error) {
 	reqs = workload.Truncate(reqs, h.cfg.Model.MaxSeqLen) // clamp to the context window
 	sink, rec := h.cfg.newRunSink(len(reqs))
 	res := &Result{
@@ -292,7 +323,7 @@ func (h *Hetis) Run(reqs []workload.Request, horizon float64) (*Result, error) {
 	}
 	f, err := newHetisFleet(h, res, ctl, runSink, chaos)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if ctl != nil {
 		ctl.bind(f)
@@ -323,7 +354,7 @@ func (h *Hetis) Run(reqs []workload.Request, horizon float64) (*Result, error) {
 		s.After(h.cfg.SampleEvery, "sample", sample)
 	}
 	if err := s.Run(horizon); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res.Horizon = s.Now()
 	res.Events = s.Executed
@@ -337,7 +368,7 @@ func (h *Hetis) Run(reqs []workload.Request, horizon float64) (*Result, error) {
 		res.LPPatchedRows += inst.disp.LPPatchedRows
 		res.LPSolveSeconds += inst.disp.LPSolveSeconds
 	}
-	return res, nil
+	return res, f, nil
 }
 
 // hetisFleet replicates serving instances for the chaos layer. The plan's
@@ -417,23 +448,24 @@ func (f *hetisFleet) deactivate(s *sim.Simulator, inst *hetisInstance, haul bool
 		s.Cancel(inst.pending)
 		inst.busy = false
 	}
-	resident := map[int64]bool{}
+	resident := make([]bool, len(inst.slots))
 	for _, r := range inst.running {
-		resident[r.wl.ID] = true
+		resident[r.slot] = true
 	}
-	victims := make([]*request, 0, len(inst.byID))
-	for _, r := range inst.byID {
-		victims = append(victims, r)
+	var victims []*request
+	for _, st := range inst.slots {
+		if st.req != nil {
+			victims = append(victims, st.req)
+		}
 	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].seq < victims[j].seq })
+	slices.SortFunc(victims, func(a, b *request) int { return cmp.Compare(a.seq, b.seq) })
 	for _, r := range victims {
-		id := r.wl.ID
-		delete(inst.byID, id)
-		delete(inst.lastMig, id)
-		inst.kvFree(id)
+		slot := int(r.slot)
+		inst.kvFree(slot)
+		inst.releaseSlot(r)
 		r.evicted = true
 		r.restartCtx = r.contextLen()
-		if haul && resident[id] {
+		if haul && resident[slot] {
 			r.hauled = true
 			f.haulTo(s, r, f.route)
 			continue
@@ -579,7 +611,9 @@ func (inst *hetisInstance) tryPrefill(s *sim.Simulator) bool {
 			break
 		}
 	place:
+		nr.Slot = inst.acquireSlot(r)
 		if _, err := inst.disp.Dispatch([]dispatch.NewRequest{nr}); err != nil {
+			inst.releaseSlot(r)
 			// Cannot place: if the instance is otherwise empty the request
 			// can never fit — drop it; else wait for cache to free up.
 			if len(inst.running) == 0 && len(admitted) == 0 && !inst.disp.CanFit([]dispatch.NewRequest{nr}) {
@@ -590,10 +624,12 @@ func (inst *hetisInstance) tryPrefill(s *sim.Simulator) bool {
 			}
 			break
 		}
-		if !inst.kvAlloc(s, r.wl.ID, ctx) {
-			inst.disp.Remove(r.wl.ID)
+		if !inst.kvAlloc(nr.Slot, r.wl.ID, ctx) {
+			inst.disp.Remove(nr.Slot)
+			inst.releaseSlot(r)
 			break
 		}
+		inst.resumeCooldown(nr.Slot, r.wl.ID)
 		inst.waiting.pop()
 		admitted = append(admitted, r)
 		tokens += r.prefillLen()
@@ -604,14 +640,12 @@ func (inst *hetisInstance) tryPrefill(s *sim.Simulator) bool {
 	prompts := make([]int, len(admitted))
 	for i, r := range admitted {
 		prompts[i] = r.prefillLen()
-		inst.byID[r.wl.ID] = r
 	}
 	dt := inst.prefillTime(prompts, admitted) + inst.pendingDelay
 	inst.pendingDelay = 0
 	inst.pending = s.After(dt, "prefill-done", func(s *sim.Simulator) {
-		overflown := map[int]bool{}
 		for _, r := range admitted {
-			if inst.byID[r.wl.ID] != r {
+			if !inst.holds(r) {
 				continue // evicted while the batch completed
 			}
 			if r.firstTok == 0 {
@@ -627,18 +661,11 @@ func (inst *hetisInstance) tryPrefill(s *sim.Simulator) bool {
 				continue
 			}
 			// Account the first generated token's KV.
-			if over, err := inst.disp.ExtendContext(r.wl.ID, 1); err == nil {
-				for _, w := range over {
-					overflown[w] = true
-				}
-			}
-			inst.kvExtend(s, r.wl.ID)
+			inst.extendOne(s, r)
 			inst.running = append(inst.running, r)
 		}
 		inst.fleet.flushFinishes()
-		for _, w := range sortedKeys(overflown) {
-			inst.handleMemoryPressure(s, w)
-		}
+		inst.relieveOverflow(s)
 		inst.step(s)
 	})
 	return true
@@ -672,7 +699,7 @@ func (inst *hetisInstance) prefillTime(prompts []int, admitted []*request) float
 	for wi := len(inst.stages); wi < inst.disp.NumWorkers(); wi++ {
 		var bytes int64
 		for _, req := range admitted {
-			x := inst.disp.PlacementView(req.wl.ID)
+			x := inst.disp.PlacementView(int(req.slot))
 			if x == nil || x[wi] == 0 {
 				continue
 			}
@@ -756,24 +783,13 @@ func (inst *hetisInstance) afterDecode(s *sim.Simulator) {
 	// semantics: evictions triggered mid-loop splice inst.running (the old
 	// array) and never touch still.
 	still := inst.stillBuf[:0]
-	if inst.overflowHit == nil {
-		inst.overflowHit = make([]bool, inst.disp.NumWorkers())
-	}
-	anyOverflow := false
 	for _, r := range inst.running {
 		r.generated++
 		if r.done() {
 			inst.finishDeferred(s, r)
 			continue
 		}
-		over, err := inst.disp.ExtendContext(r.wl.ID, 1)
-		if err == nil {
-			for _, w := range over {
-				inst.overflowHit[w] = true
-				anyOverflow = true
-			}
-		}
-		inst.kvExtend(s, r.wl.ID)
+		inst.extendOne(s, r)
 		still = append(still, r)
 	}
 	inst.fleet.flushFinishes()
@@ -786,26 +802,120 @@ func (inst *hetisInstance) afterDecode(s *sim.Simulator) {
 	inst.stillBuf = prev[:0]
 	inst.res.Trace.Add(trace.Event{At: s.Now(), Kind: trace.KindDecode, Value: float64(len(still))})
 
-	if anyOverflow {
-		// Ascending worker order, like the sorted map keys it replaces.
-		for w := range inst.overflowHit {
-			if inst.overflowHit[w] {
-				inst.overflowHit[w] = false
-				inst.handleMemoryPressure(s, w)
-			}
-		}
-	}
+	inst.relieveOverflow(s)
 	inst.decodeSteps++
-	every := cfg.RebalanceEvery
-	if every <= 0 {
-		every = 8
-	}
+	every := inst.rebalanceEvery()
 	if !cfg.DisableRedispatch && len(inst.running) > 0 && inst.decodeSteps%every == 0 {
-		if rd, err := inst.disp.RebalanceCompute(cfg.Theta, inst.frozenRequests(every)); err == nil && rd != nil {
+		if rd, err := inst.disp.RebalanceCompute(cfg.Theta, inst.frozenSlots(every)); err == nil && rd != nil {
 			inst.applyRedispatch(s, rd)
 		}
 	}
 	inst.trackPeak()
+}
+
+// rebalanceEvery is the decode-step cadence of compute re-balancing.
+func (inst *hetisInstance) rebalanceEvery() int {
+	if every := inst.cfg.RebalanceEvery; every > 0 {
+		return every
+	}
+	return 8
+}
+
+// extendOne accounts one freshly generated token of r: context growth in
+// the dispatcher (marking the workers it overflows) and in the block
+// managers.
+func (inst *hetisInstance) extendOne(s *sim.Simulator, r *request) {
+	slot := int(r.slot)
+	over, err := inst.disp.ExtendContext(slot, 1)
+	if err == nil && len(over) > 0 {
+		if inst.overflowHit == nil {
+			inst.overflowHit = make([]bool, inst.disp.NumWorkers())
+		}
+		for _, w := range over {
+			inst.overflowHit[w] = true
+		}
+		inst.anyOverflow = true
+	}
+	inst.kvExtend(s, slot)
+}
+
+// relieveOverflow runs memory-pressure handling on every worker extendOne
+// marked, in ascending worker order.
+func (inst *hetisInstance) relieveOverflow(s *sim.Simulator) {
+	if !inst.anyOverflow {
+		return
+	}
+	inst.anyOverflow = false
+	for w := range inst.overflowHit {
+		if inst.overflowHit[w] {
+			inst.overflowHit[w] = false
+			inst.handleMemoryPressure(s, w)
+		}
+	}
+}
+
+// acquireSlot gives r a slot from the free list, or a new one when the
+// list is empty, and records r there.
+func (inst *hetisInstance) acquireSlot(r *request) int {
+	var slot int
+	if n := len(inst.freeSlots); n > 0 {
+		slot = int(inst.freeSlots[n-1])
+		inst.freeSlots = inst.freeSlots[:n-1]
+	} else {
+		slot = len(inst.slots)
+		inst.slots = append(inst.slots, slotState{})
+	}
+	inst.slots[slot] = slotState{req: r}
+	r.slot = int32(slot)
+	return slot
+}
+
+// releaseSlot returns r's slot to the free list, dropping its migration
+// cooldown. The dispatcher and block managers must be done with the slot.
+func (inst *hetisInstance) releaseSlot(r *request) {
+	inst.slots[r.slot] = slotState{}
+	inst.freeSlots = append(inst.freeSlots, r.slot)
+	r.slot = -1
+}
+
+// holds reports whether r holds a slot on this instance.
+func (inst *hetisInstance) holds(r *request) bool {
+	return r.slot >= 0 && int(r.slot) < len(inst.slots) && inst.slots[r.slot].req == r
+}
+
+// frozen reports whether a migration at decode step `step` still freezes
+// its request against re-migration, for a rebalance cadence of window.
+func (inst *hetisInstance) frozen(step, window int) bool {
+	return inst.decodeSteps-step < 2*window
+}
+
+// coolDown keeps the migration step of the request in slot, which is
+// being evicted to this instance's queue, so its cooldown resumes if it is
+// re-admitted here. Marks that no longer freeze anything are dropped.
+func (inst *hetisInstance) coolDown(slot int) {
+	window := inst.rebalanceEvery()
+	kept := inst.cooling[:0]
+	for _, m := range inst.cooling {
+		if inst.frozen(m.step, window) {
+			kept = append(kept, m)
+		}
+	}
+	inst.cooling = kept
+	if st := inst.slots[slot]; st.migrated && inst.frozen(st.lastMig, window) {
+		inst.cooling = append(inst.cooling, migMark{id: st.req.wl.ID, step: st.lastMig})
+	}
+}
+
+// resumeCooldown restores the cooling mark, if any, of request id just
+// admitted into slot.
+func (inst *hetisInstance) resumeCooldown(slot int, id int64) {
+	for k, m := range inst.cooling {
+		if m.id == id {
+			inst.slots[slot].lastMig, inst.slots[slot].migrated = m.step, true
+			inst.cooling = append(inst.cooling[:k], inst.cooling[k+1:]...)
+			return
+		}
+	}
 }
 
 // underWatermark reports whether admitting ctx more tokens of full-head
@@ -828,9 +938,9 @@ func (inst *hetisInstance) underWatermark(ctx int) bool {
 	return (used+add)/capTotal <= wm
 }
 
-// kvAlloc mirrors a dispatch placement into the block managers.
-func (inst *hetisInstance) kvAlloc(s *sim.Simulator, id int64, ctx int) bool {
-	x := inst.disp.PlacementView(id)
+// kvAlloc mirrors the dispatch placement of slot into the block managers.
+func (inst *hetisInstance) kvAlloc(slot int, id int64, ctx int) bool {
+	x := inst.disp.PlacementView(slot)
 	if x == nil {
 		return false
 	}
@@ -839,10 +949,10 @@ func (inst *hetisInstance) kvAlloc(s *sim.Simulator, id int64, ctx int) bool {
 		if heads == 0 {
 			continue
 		}
-		if err := inst.kv[i].Alloc(kvcache.RequestID(id), heads/r, ctx); err != nil {
+		if err := inst.kv[i].Alloc(slot, kvcache.RequestID(id), heads/r, ctx); err != nil {
 			// Roll back earlier workers.
 			for j := 0; j < i; j++ {
-				inst.kv[j].Free(kvcache.RequestID(id))
+				inst.kv[j].Free(slot)
 			}
 			return false
 		}
@@ -850,10 +960,10 @@ func (inst *hetisInstance) kvAlloc(s *sim.Simulator, id int64, ctx int) bool {
 	return true
 }
 
-// kvExtend grows the block allocation by one token on every worker holding
-// the request, force-evicting on block exhaustion.
-func (inst *hetisInstance) kvExtend(s *sim.Simulator, id int64) {
-	x := inst.disp.PlacementView(id)
+// kvExtend grows the block allocation of slot by one token on every
+// worker holding it, force-evicting on block exhaustion.
+func (inst *hetisInstance) kvExtend(s *sim.Simulator, slot int) {
+	x := inst.disp.PlacementView(slot)
 	if x == nil {
 		return
 	}
@@ -861,35 +971,31 @@ func (inst *hetisInstance) kvExtend(s *sim.Simulator, id int64) {
 		if heads == 0 {
 			continue
 		}
-		for inst.kv[i].Extend(kvcache.RequestID(id), 1) != nil {
-			if !inst.evictOn(s, i, id) {
+		for inst.kv[i].Extend(slot, 1) != nil {
+			if !inst.evictOn(s, i, slot) {
 				return // nothing left to evict; accounting stays best-effort
 			}
 		}
 	}
 }
 
-// kvFree releases a request everywhere.
-func (inst *hetisInstance) kvFree(id int64) {
+// kvFree releases a slot everywhere.
+func (inst *hetisInstance) kvFree(slot int) {
 	for _, m := range inst.kv {
-		m.Free(kvcache.RequestID(id))
+		m.Free(slot)
 	}
 }
 
-// frozenRequests lists requests migrated within the last `window` decode
-// steps; they are exempt from further re-dispatching to damp ping-pong.
-func (inst *hetisInstance) frozenRequests(window int) map[int64]bool {
-	if len(inst.lastMig) == 0 {
-		return nil // reads on a nil map are false, and no allocation
+// frozenSlots marks, by slot, the requests migrated within the last
+// 2·window decode steps; they are exempt from further re-dispatching to
+// damp ping-pong.
+func (inst *hetisInstance) frozenSlots(window int) []bool {
+	frozen := inst.frozenBuf[:0]
+	for _, st := range inst.slots {
+		frozen = append(frozen, st.migrated && inst.frozen(st.lastMig, window))
 	}
-	out := make(map[int64]bool)
-	//hetis:ordered builds a membership set; callers only test membership, so insertion order is invisible
-	for id, step := range inst.lastMig {
-		if inst.decodeSteps-step < 2*window {
-			out[id] = true
-		}
-	}
-	return out
+	inst.frozenBuf = frozen
+	return frozen
 }
 
 // handleMemoryPressure implements §5.3.2 for one exhausted worker: first
@@ -899,15 +1005,11 @@ func (inst *hetisInstance) frozenRequests(window int) map[int64]bool {
 func (inst *hetisInstance) handleMemoryPressure(s *sim.Simulator, w int) {
 	cfg := inst.cfg
 	if !cfg.DisableRedispatch {
-		ids := make([]int64, 0)
-		for _, rid := range inst.kv[w].Requests() {
-			ids = append(ids, int64(rid))
-		}
-		for _, id := range newestFirst(ids, inst.byID) {
+		for _, slot := range inst.newestFirst(inst.kv[w].Slots()) {
 			if inst.disp.CacheBytes(w) <= inst.disp.Workers()[w].CapacityBytes {
 				return
 			}
-			rd, err := inst.disp.RebalanceMemory(w, []int64{id})
+			rd, err := inst.disp.RebalanceMemory(w, []int{slot})
 			if err != nil || rd == nil {
 				break
 			}
@@ -920,17 +1022,17 @@ func (inst *hetisInstance) handleMemoryPressure(s *sim.Simulator, w int) {
 	// Eviction. Plain LIFO (baseline) picks the globally newest running
 	// request; Hetis' modified LIFO picks the newest holding memory on w.
 	for inst.disp.CacheBytes(w) > inst.disp.Workers()[w].CapacityBytes {
-		var victim int64 = -1
+		victim := -1
 		if cfg.DisableRedispatch {
 			var seq int64 = -1
 			for _, r := range inst.running {
 				if r.seq > seq {
 					seq = r.seq
-					victim = r.wl.ID
+					victim = int(r.slot)
 				}
 			}
 		} else if v, ok := inst.kv[w].VictimLIFO(); ok {
-			victim = int64(v)
+			victim = v
 		}
 		if victim < 0 {
 			return
@@ -941,42 +1043,48 @@ func (inst *hetisInstance) handleMemoryPressure(s *sim.Simulator, w int) {
 	}
 }
 
-// evictOn evicts the LIFO victim holding blocks on worker w, preferring a
-// request other than protect.
-func (inst *hetisInstance) evictOn(s *sim.Simulator, w int, protect int64) bool {
-	reqs := inst.kv[w].Requests()
-	for k := len(reqs) - 1; k >= 0; k-- {
-		id := int64(reqs[k])
-		if id == protect {
-			continue
-		}
-		return inst.evict(s, id)
-	}
-	return false
+// newestFirst orders slots by their requests' admission sequence, newest
+// first, in a reused scratch buffer. Admission sequences are unique, so
+// the order does not depend on the input order.
+func (inst *hetisInstance) newestFirst(slots []int) []int {
+	out := append(inst.victimBuf[:0], slots...)
+	slices.SortFunc(out, func(a, b int) int {
+		return cmp.Compare(inst.slots[b].req.seq, inst.slots[a].req.seq)
+	})
+	inst.victimBuf = out
+	return out
 }
 
-// evict removes a request from the batch and recycles it to the waiting
-// queue for recomputation.
-func (inst *hetisInstance) evict(s *sim.Simulator, id int64) bool {
-	r, ok := inst.byID[id]
-	if !ok {
+// evictOn evicts the LIFO victim holding blocks on worker w, preferring a
+// slot other than protect.
+func (inst *hetisInstance) evictOn(s *sim.Simulator, w int, protect int) bool {
+	slot, ok := inst.kv[w].VictimLIFOExcept(protect)
+	return ok && inst.evict(s, slot)
+}
+
+// evict removes the request in slot from the batch and recycles it to the
+// waiting queue for recomputation.
+func (inst *hetisInstance) evict(s *sim.Simulator, slot int) bool {
+	if slot < 0 || slot >= len(inst.slots) || inst.slots[slot].req == nil {
 		return false
 	}
-	inst.disp.Remove(id)
-	inst.kvFree(id)
+	r := inst.slots[slot].req
+	inst.disp.Remove(slot)
+	inst.kvFree(slot)
 	for k, rr := range inst.running {
-		if rr.wl.ID == id {
+		if rr == r {
 			inst.running = append(inst.running[:k], inst.running[k+1:]...)
 			break
 		}
 	}
-	delete(inst.byID, id)
+	inst.coolDown(slot)
+	inst.releaseSlot(r)
 	r.evicted = true
 	r.restartCtx = r.contextLen()
 	r.hauled = false
 	inst.waiting.pushFront(r)
 	inst.res.Evictions++
-	inst.res.Trace.Add(trace.Event{At: s.Now(), Kind: trace.KindEviction, Request: id})
+	inst.res.Trace.Add(trace.Event{At: s.Now(), Kind: trace.KindEviction, Request: r.wl.ID})
 	return true
 }
 
@@ -1004,10 +1112,9 @@ func (inst *hetisInstance) preemptFor(s *sim.Simulator, r *request) bool {
 	}
 	v := inst.running[idx]
 	inst.running = append(inst.running[:idx], inst.running[idx+1:]...)
-	inst.disp.Remove(v.wl.ID)
-	inst.kvFree(v.wl.ID)
-	delete(inst.byID, v.wl.ID)
-	delete(inst.lastMig, v.wl.ID)
+	inst.disp.Remove(int(v.slot))
+	inst.kvFree(int(v.slot))
+	inst.releaseSlot(v)
 	v.evicted = true
 	v.restartCtx = v.contextLen()
 	v.hauled = false
@@ -1022,7 +1129,8 @@ func (inst *hetisInstance) preemptFor(s *sim.Simulator, r *request) bool {
 func (inst *hetisInstance) applyRedispatch(s *sim.Simulator, rd *dispatch.Redispatch) {
 	cfg := inst.cfg
 	r := cfg.Model.GroupRatio()
-	ctx := inst.disp.ContextLen(rd.Request)
+	slot := rd.Slot
+	ctx := inst.disp.ContextLen(slot)
 	groupTok := cfg.Model.KVBytesPerTokenHeadGroup() * int64(cfg.Model.Layers)
 
 	oldMap := map[int]int{}
@@ -1046,9 +1154,9 @@ func (inst *hetisInstance) applyRedispatch(s *sim.Simulator, rd *dispatch.Redisp
 		oldG, newG := oldMap[i], newMap[i]
 		if newG < oldG {
 			if newG == 0 {
-				inst.kv[i].Free(id)
+				inst.kv[i].Free(slot)
 			} else {
-				_ = inst.kv[i].ShrinkGroups(id, oldG-newG)
+				_ = inst.kv[i].ShrinkGroups(slot, oldG-newG)
 			}
 		}
 	}
@@ -1057,24 +1165,24 @@ func (inst *hetisInstance) applyRedispatch(s *sim.Simulator, rd *dispatch.Redisp
 		if newG > oldG {
 			var err error
 			if oldG == 0 {
-				err = inst.kv[i].Alloc(id, newG, ctx)
+				err = inst.kv[i].Alloc(slot, id, newG, ctx)
 			} else {
-				err = inst.kv[i].GrowGroups(id, newG-oldG)
+				err = inst.kv[i].GrowGroups(slot, newG-oldG)
 			}
 			for errors.Is(err, kvcache.ErrNoSpace) {
-				if !inst.evictOn(s, i, rd.Request) {
+				if !inst.evictOn(s, i, slot) {
 					break
 				}
 				if oldG == 0 {
-					err = inst.kv[i].Alloc(id, newG, ctx)
+					err = inst.kv[i].Alloc(slot, id, newG, ctx)
 				} else {
-					err = inst.kv[i].GrowGroups(id, newG-oldG)
+					err = inst.kv[i].GrowGroups(slot, newG-oldG)
 				}
 			}
 		}
 	}
 	bytes := kvcache.TotalMoveBytes(moves)
-	inst.lastMig[rd.Request] = inst.decodeSteps
+	inst.slots[slot].lastMig, inst.slots[slot].migrated = inst.decodeSteps, true
 	inst.res.Migrations++
 	inst.res.MigratedBytes += bytes
 	inst.res.Trace.Add(trace.Event{At: s.Now(), Kind: trace.KindRedispatch, Request: rd.Request, Value: float64(bytes)})
@@ -1095,10 +1203,9 @@ func (inst *hetisInstance) applyRedispatch(s *sim.Simulator, rd *dispatch.Redisp
 // per batch. The dispatcher/KV release stays inline: later requests in
 // the same loop observe the freed capacity exactly as before.
 func (inst *hetisInstance) finishDeferred(s *sim.Simulator, r *request) {
-	inst.disp.Remove(r.wl.ID)
-	inst.kvFree(r.wl.ID)
-	delete(inst.byID, r.wl.ID)
-	delete(inst.lastMig, r.wl.ID)
+	inst.disp.Remove(int(r.slot))
+	inst.kvFree(int(r.slot))
+	inst.releaseSlot(r)
 	inst.fleet.finishDeferred(s, r)
 }
 

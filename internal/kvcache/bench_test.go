@@ -12,16 +12,15 @@ func BenchmarkAllocExtendFree(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id := RequestID(i)
-		if err := m.Alloc(id, 8, 512); err != nil {
+		if err := m.Alloc(0, RequestID(i), 8, 512); err != nil {
 			b.Fatal(err)
 		}
 		for k := 0; k < 256; k++ {
-			if err := m.Extend(id, 1); err != nil {
+			if err := m.Extend(0, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
-		m.Free(id)
+		m.Free(0)
 	}
 }
 

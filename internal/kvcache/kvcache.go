@@ -6,12 +6,20 @@
 //
 // The manager tracks one device. Engines create one manager per GPU and a
 // Hauler moves blocks between them.
+//
+// Requests are addressed by a slot: a small dense index the caller assigns
+// and recycles (an engine instance hands each admitted request one from its
+// free list). Per-request state lives in a slot-indexed slab, so the
+// per-token Extend does no hashing, and the slab never outgrows the most
+// requests the caller held at once. The request ID is stored beside the
+// slot, for Requests.
 package kvcache
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // RequestID identifies a serving request.
@@ -36,20 +44,30 @@ func (c Config) BlockBytes() int64 {
 	return int64(c.BlockTokens) * c.BytesPerGroupToken
 }
 
-// entry is the per-request state on one device.
+// entry is the per-request state on one device, held in the slot slab. A
+// slot is live while its entry holds at least one head group.
 type entry struct {
-	groups  int
-	tokens  int
-	blocks  int   // groups * ceil(tokens/blockTokens)
+	id     RequestID
+	groups int
+	tokens int
+	blocks int // groups * ceil(tokens/blockTokens)
+	// room is how many more tokens fit before the last block of each group
+	// fills: ceil(tokens/blockTokens)*blockTokens - tokens. Extend within
+	// the room allocates nothing.
+	room    int
 	arrival int64 // allocation sequence, drives modified-LIFO eviction
+	pos     int   // index in Manager.live
 }
+
+func (e *entry) isLive() bool { return e.groups > 0 }
 
 // Manager allocates head-group cache blocks on one device.
 type Manager struct {
 	cfg         Config
 	totalBlocks int
 	freeBlocks  int
-	reqs        map[RequestID]*entry
+	slots       []entry // indexed by slot
+	live        []int   // live slots, in no particular order
 	nextArrival int64
 	// Ops counters, used by the management-overhead experiment (Fig. 15b).
 	storeOps int64
@@ -71,7 +89,6 @@ func NewManager(cfg Config) (*Manager, error) {
 		cfg:         cfg,
 		totalBlocks: int(cfg.CapacityBytes / cfg.BlockBytes()),
 		freeBlocks:  int(cfg.CapacityBytes / cfg.BlockBytes()),
-		reqs:        make(map[RequestID]*entry),
 	}, nil
 }
 
@@ -110,60 +127,87 @@ func (m *Manager) blocksFor(groups, tokens int) int {
 	return groups * perGroup
 }
 
+// roomAfter is the token room left in the last block of a group holding
+// tokens.
+func (m *Manager) roomAfter(tokens int) int {
+	bt := m.cfg.BlockTokens
+	return (tokens+bt-1)/bt*bt - tokens
+}
+
 // CanAlloc reports whether groups head groups with tokens of context fit.
 func (m *Manager) CanAlloc(groups, tokens int) bool {
 	return m.blocksFor(groups, tokens) <= m.freeBlocks
 }
 
-// Alloc reserves cache for `groups` KV head groups of request id, each with
-// `tokens` of context. A request may be allocated only once per device;
-// use Extend to grow it or GrowGroups to add head groups.
-func (m *Manager) Alloc(id RequestID, groups, tokens int) error {
-	if groups <= 0 || tokens < 0 {
-		return fmt.Errorf("kvcache: invalid allocation groups=%d tokens=%d", groups, tokens)
+// at returns the live entry in slot, or nil.
+func (m *Manager) at(slot int) *entry {
+	if slot < 0 || slot >= len(m.slots) || !m.slots[slot].isLive() {
+		return nil
 	}
-	if _, exists := m.reqs[id]; exists {
-		return fmt.Errorf("kvcache: request %d already allocated on device", id)
+	return &m.slots[slot]
+}
+
+// Alloc reserves cache in slot for `groups` KV head groups of request id,
+// each with `tokens` of context. A slot may be allocated only once until
+// freed; use Extend to grow it or GrowGroups to add head groups.
+func (m *Manager) Alloc(slot int, id RequestID, groups, tokens int) error {
+	if groups <= 0 || tokens < 0 || slot < 0 {
+		return fmt.Errorf("kvcache: invalid allocation slot=%d groups=%d tokens=%d", slot, groups, tokens)
+	}
+	if e := m.at(slot); e != nil {
+		return fmt.Errorf("kvcache: slot %d already holds request %d", slot, e.id)
 	}
 	need := m.blocksFor(groups, tokens)
 	if need > m.freeBlocks {
 		return fmt.Errorf("%w: need %d blocks, %d free", ErrNoSpace, need, m.freeBlocks)
 	}
+	if slot >= len(m.slots) {
+		m.slots = append(m.slots, make([]entry, slot+1-len(m.slots))...)
+	}
 	m.freeBlocks -= need
-	m.reqs[id] = &entry{groups: groups, tokens: tokens, blocks: need, arrival: m.nextArrival}
+	m.slots[slot] = entry{
+		id: id, groups: groups, tokens: tokens, blocks: need,
+		room: m.roomAfter(tokens), arrival: m.nextArrival, pos: len(m.live),
+	}
+	m.live = append(m.live, slot)
 	m.nextArrival++
 	m.storeOps += int64(groups) // one block-table insert per head group
 	return nil
 }
 
-// Extend grows request id by n tokens across all its head groups,
+// Extend grows the request in slot by n tokens across all its head groups,
 // allocating new blocks when a group's last block fills up.
-func (m *Manager) Extend(id RequestID, n int) error {
-	e, ok := m.reqs[id]
-	if !ok {
-		return fmt.Errorf("kvcache: request %d not on device", id)
+func (m *Manager) Extend(slot, n int) error {
+	e := m.at(slot)
+	if e == nil {
+		return fmt.Errorf("kvcache: slot %d not on device", slot)
 	}
 	if n < 0 {
 		return fmt.Errorf("kvcache: negative extension %d", n)
 	}
-	newBlocks := m.blocksFor(e.groups, e.tokens+n)
-	delta := newBlocks - e.blocks
-	if delta > m.freeBlocks {
-		return fmt.Errorf("%w: extension needs %d blocks, %d free", ErrNoSpace, delta, m.freeBlocks)
+	if n > e.room {
+		newBlocks := m.blocksFor(e.groups, e.tokens+n)
+		delta := newBlocks - e.blocks
+		if delta > m.freeBlocks {
+			return fmt.Errorf("%w: extension needs %d blocks, %d free", ErrNoSpace, delta, m.freeBlocks)
+		}
+		m.freeBlocks -= delta
+		e.blocks = newBlocks
+		e.room = m.roomAfter(e.tokens + n)
+	} else {
+		e.room -= n
 	}
-	m.freeBlocks -= delta
 	e.tokens += n
-	e.blocks = newBlocks
 	m.storeOps += int64(e.groups) // per-group append
 	return nil
 }
 
 // GrowGroups adds extra head groups at the request's current context
 // length (used when re-dispatching moves heads onto this device).
-func (m *Manager) GrowGroups(id RequestID, extra int) error {
-	e, ok := m.reqs[id]
-	if !ok {
-		return fmt.Errorf("kvcache: request %d not on device", id)
+func (m *Manager) GrowGroups(slot, extra int) error {
+	e := m.at(slot)
+	if e == nil {
+		return fmt.Errorf("kvcache: slot %d not on device", slot)
 	}
 	if extra <= 0 {
 		return fmt.Errorf("kvcache: GrowGroups needs positive extra, got %d", extra)
@@ -181,17 +225,17 @@ func (m *Manager) GrowGroups(id RequestID, extra int) error {
 }
 
 // ShrinkGroups removes head groups from the request, freeing their blocks.
-// Removing all groups frees the request entirely.
-func (m *Manager) ShrinkGroups(id RequestID, removed int) error {
-	e, ok := m.reqs[id]
-	if !ok {
-		return fmt.Errorf("kvcache: request %d not on device", id)
+// Removing all groups frees the slot entirely.
+func (m *Manager) ShrinkGroups(slot, removed int) error {
+	e := m.at(slot)
+	if e == nil {
+		return fmt.Errorf("kvcache: slot %d not on device", slot)
 	}
 	if removed <= 0 || removed > e.groups {
 		return fmt.Errorf("kvcache: cannot remove %d of %d groups", removed, e.groups)
 	}
 	if removed == e.groups {
-		m.Free(id)
+		m.Free(slot)
 		return nil
 	}
 	newBlocks := m.blocksFor(e.groups-removed, e.tokens)
@@ -201,43 +245,43 @@ func (m *Manager) ShrinkGroups(id RequestID, removed int) error {
 	return nil
 }
 
-// Free releases everything request id holds on this device. Freeing an
-// absent request is a no-op.
-func (m *Manager) Free(id RequestID) {
-	e, ok := m.reqs[id]
-	if !ok {
+// Free releases everything slot holds on this device. Freeing an empty
+// slot is a no-op.
+func (m *Manager) Free(slot int) {
+	e := m.at(slot)
+	if e == nil {
 		return
 	}
 	m.freeBlocks += e.blocks
-	delete(m.reqs, id)
+	last := m.live[len(m.live)-1]
+	m.live[e.pos] = last
+	m.slots[last].pos = e.pos
+	m.live = m.live[:len(m.live)-1]
+	*e = entry{}
 }
 
-// Has reports whether the request holds blocks here.
-func (m *Manager) Has(id RequestID) bool {
-	_, ok := m.reqs[id]
-	return ok
-}
+// Has reports whether slot holds blocks here.
+func (m *Manager) Has(slot int) bool { return m.at(slot) != nil }
 
-// Groups returns the number of head groups request id holds here (0 if
-// absent).
-func (m *Manager) Groups(id RequestID) int {
-	if e, ok := m.reqs[id]; ok {
+// Groups returns the number of head groups slot holds here (0 if empty).
+func (m *Manager) Groups(slot int) int {
+	if e := m.at(slot); e != nil {
 		return e.groups
 	}
 	return 0
 }
 
-// Tokens returns the context length request id holds here (0 if absent).
-func (m *Manager) Tokens(id RequestID) int {
-	if e, ok := m.reqs[id]; ok {
+// Tokens returns the context length slot holds here (0 if empty).
+func (m *Manager) Tokens(slot int) int {
+	if e := m.at(slot); e != nil {
 		return e.tokens
 	}
 	return 0
 }
 
-// BytesOf is the exact byte footprint of request id on this device.
-func (m *Manager) BytesOf(id RequestID) int64 {
-	if e, ok := m.reqs[id]; ok {
+// BytesOf is the exact byte footprint of slot on this device.
+func (m *Manager) BytesOf(slot int) int64 {
+	if e := m.at(slot); e != nil {
 		return int64(e.blocks) * m.cfg.BlockBytes()
 	}
 	return 0
@@ -245,8 +289,8 @@ func (m *Manager) BytesOf(id RequestID) int64 {
 
 // Fetch records a cache read of the request (decode step touching all its
 // groups) for the op-count accounting of Fig. 15(b).
-func (m *Manager) Fetch(id RequestID) {
-	if e, ok := m.reqs[id]; ok {
+func (m *Manager) Fetch(slot int) {
+	if e := m.at(slot); e != nil {
 		m.fetchOps += int64(e.groups)
 	}
 }
@@ -257,46 +301,80 @@ func (m *Manager) StoreOps() int64 { return m.storeOps }
 // FetchOps reports accumulated fetch (block-indexing) operations.
 func (m *Manager) FetchOps() int64 { return m.fetchOps }
 
-// Requests lists request IDs with blocks on this device, oldest first.
+// Slots lists the slots holding blocks on this device, in no particular
+// order. The slice is owned by the manager and valid until its next
+// mutation; callers must treat it as read-only.
+func (m *Manager) Slots() []int { return m.live }
+
+// Requests lists request IDs with blocks on this device, oldest allocation
+// first.
 func (m *Manager) Requests() []RequestID {
-	ids := make([]RequestID, 0, len(m.reqs))
-	for id := range m.reqs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		return m.reqs[ids[i]].arrival < m.reqs[ids[j]].arrival
+	order := slices.Clone(m.live)
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Compare(m.slots[a].arrival, m.slots[b].arrival)
 	})
+	ids := make([]RequestID, len(order))
+	for k, slot := range order {
+		ids[k] = m.slots[slot].id
+	}
 	return ids
 }
 
 // VictimLIFO implements the paper's modified LIFO policy (§5.3.2): among
-// requests that actually hold memory on THIS device, pick the one that
-// arrived last. Returns false when the device is empty.
-func (m *Manager) VictimLIFO() (RequestID, bool) {
-	var best RequestID
+// requests that actually hold memory on THIS device, pick the slot whose
+// allocation arrived last. Returns false when the device is empty.
+func (m *Manager) VictimLIFO() (int, bool) { return m.VictimLIFOExcept(-1) }
+
+// VictimLIFOExcept is VictimLIFO with slot protect excluded from the choice.
+func (m *Manager) VictimLIFOExcept(protect int) (int, bool) {
+	best := -1
 	var bestArrival int64 = -1
-	for id, e := range m.reqs {
-		if e.arrival > bestArrival {
-			bestArrival = e.arrival
-			best = id
+	for _, slot := range m.live {
+		if a := m.slots[slot].arrival; a > bestArrival && slot != protect {
+			bestArrival = a
+			best = slot
 		}
 	}
-	return best, bestArrival >= 0
+	return best, best >= 0
 }
 
 // CheckInvariants verifies internal accounting; tests call it after every
-// mutation sequence.
+// mutation sequence. The live list and the slab must agree (every live
+// slot listed once at its recorded position, no free slot listed), each
+// entry's blocks and token room must match its groups and tokens, and the
+// blocks must add up.
 func (m *Manager) CheckInvariants() error {
 	used := 0
-	for id, e := range m.reqs {
-		if e.groups <= 0 {
-			return fmt.Errorf("kvcache: request %d with %d groups", id, e.groups)
+	for k, slot := range m.live {
+		if slot < 0 || slot >= len(m.slots) {
+			return fmt.Errorf("kvcache: live list names slot %d outside the slab", slot)
+		}
+		e := &m.slots[slot]
+		if !e.isLive() {
+			return fmt.Errorf("kvcache: free slot %d on the live list", slot)
+		}
+		if e.pos != k {
+			return fmt.Errorf("kvcache: slot %d listed at %d, records position %d", slot, k, e.pos)
 		}
 		want := m.blocksFor(e.groups, e.tokens)
 		if e.blocks != want {
-			return fmt.Errorf("kvcache: request %d holds %d blocks, want %d", id, e.blocks, want)
+			return fmt.Errorf("kvcache: slot %d (request %d) holds %d blocks, want %d", slot, e.id, e.blocks, want)
+		}
+		if r := m.roomAfter(e.tokens); e.room != r {
+			return fmt.Errorf("kvcache: slot %d token room %d, want %d", slot, e.room, r)
 		}
 		used += e.blocks
+	}
+	live := 0
+	for slot := range m.slots {
+		if e := &m.slots[slot]; e.groups < 0 || (e.groups == 0 && *e != (entry{})) {
+			return fmt.Errorf("kvcache: free slot %d holds stale state %+v", slot, *e)
+		} else if e.isLive() {
+			live++
+		}
+	}
+	if live != len(m.live) {
+		return fmt.Errorf("kvcache: %d live slots in the slab, %d on the live list", live, len(m.live))
 	}
 	if used+m.freeBlocks != m.totalBlocks {
 		return fmt.Errorf("kvcache: leak: used %d + free %d != total %d", used, m.freeBlocks, m.totalBlocks)

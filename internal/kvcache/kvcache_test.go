@@ -42,7 +42,7 @@ func TestNewManagerValidation(t *testing.T) {
 func TestAllocFreeAccounting(t *testing.T) {
 	m := newTestManager(t, 100)
 	// 2 groups × 33 tokens → ceil(33/16)=3 blocks/group → 6 blocks.
-	mustOK(t, m.Alloc(1, 2, 33))
+	mustOK(t, m.Alloc(1, 1, 2, 33))
 	if m.UsedBlocks() != 6 {
 		t.Fatalf("UsedBlocks=%d want 6", m.UsedBlocks())
 	}
@@ -58,15 +58,15 @@ func TestAllocFreeAccounting(t *testing.T) {
 
 func TestDoubleAllocRejected(t *testing.T) {
 	m := newTestManager(t, 100)
-	mustOK(t, m.Alloc(1, 1, 10))
-	if err := m.Alloc(1, 1, 10); err == nil {
+	mustOK(t, m.Alloc(1, 1, 1, 10))
+	if err := m.Alloc(1, 1, 1, 10); err == nil {
 		t.Fatal("double alloc should fail")
 	}
 }
 
 func TestAllocNoSpace(t *testing.T) {
 	m := newTestManager(t, 4)
-	err := m.Alloc(1, 2, 40) // needs 2*3=6 blocks > 4
+	err := m.Alloc(1, 1, 2, 40) // needs 2*3=6 blocks > 4
 	if !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("want ErrNoSpace, got %v", err)
 	}
@@ -78,7 +78,7 @@ func TestAllocNoSpace(t *testing.T) {
 
 func TestExtendAllocatesOnBlockBoundary(t *testing.T) {
 	m := newTestManager(t, 100)
-	mustOK(t, m.Alloc(1, 2, 16)) // exactly 1 block per group
+	mustOK(t, m.Alloc(1, 1, 2, 16)) // exactly 1 block per group
 	if m.UsedBlocks() != 2 {
 		t.Fatalf("UsedBlocks=%d want 2", m.UsedBlocks())
 	}
@@ -95,7 +95,7 @@ func TestExtendAllocatesOnBlockBoundary(t *testing.T) {
 
 func TestExtendNoSpace(t *testing.T) {
 	m := newTestManager(t, 2)
-	mustOK(t, m.Alloc(1, 2, 16))
+	mustOK(t, m.Alloc(1, 1, 2, 16))
 	err := m.Extend(1, 1)
 	if !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("want ErrNoSpace, got %v", err)
@@ -107,7 +107,7 @@ func TestExtendNoSpace(t *testing.T) {
 
 func TestGrowShrinkGroups(t *testing.T) {
 	m := newTestManager(t, 100)
-	mustOK(t, m.Alloc(1, 2, 32))
+	mustOK(t, m.Alloc(1, 1, 2, 32))
 	mustOK(t, m.GrowGroups(1, 3))
 	if m.Groups(1) != 5 {
 		t.Fatalf("Groups=%d want 5", m.Groups(1))
@@ -129,9 +129,9 @@ func TestGrowShrinkGroups(t *testing.T) {
 
 func TestVictimLIFOPicksLatestArrival(t *testing.T) {
 	m := newTestManager(t, 100)
-	mustOK(t, m.Alloc(10, 1, 16))
-	mustOK(t, m.Alloc(20, 1, 16))
-	mustOK(t, m.Alloc(30, 1, 16))
+	mustOK(t, m.Alloc(10, 10, 1, 16))
+	mustOK(t, m.Alloc(20, 20, 1, 16))
+	mustOK(t, m.Alloc(30, 30, 1, 16))
 	v, ok := m.VictimLIFO()
 	if !ok || v != 30 {
 		t.Fatalf("victim=%v ok=%v want 30", v, ok)
@@ -151,7 +151,7 @@ func TestVictimLIFOPicksLatestArrival(t *testing.T) {
 func TestRequestsOrderedByArrival(t *testing.T) {
 	m := newTestManager(t, 100)
 	for _, id := range []RequestID{5, 3, 9, 1} {
-		mustOK(t, m.Alloc(id, 1, 16))
+		mustOK(t, m.Alloc(int(id), id, 1, 16))
 	}
 	got := m.Requests()
 	want := []RequestID{5, 3, 9, 1}
@@ -164,7 +164,7 @@ func TestRequestsOrderedByArrival(t *testing.T) {
 
 func TestOpsCounters(t *testing.T) {
 	m := newTestManager(t, 100)
-	mustOK(t, m.Alloc(1, 4, 16))
+	mustOK(t, m.Alloc(1, 1, 4, 16))
 	if m.StoreOps() != 4 {
 		t.Fatalf("StoreOps=%d want 4 (one per group)", m.StoreOps())
 	}
@@ -190,14 +190,14 @@ func TestPropertyNoLeaksUnderRandomOps(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		live := map[RequestID]bool{}
-		next := RequestID(0)
+		live := map[int]bool{}
+		next := 0
 		for op := 0; op < 200; op++ {
 			switch rng.Intn(5) {
 			case 0, 1:
 				id := next
 				next++
-				if m.Alloc(id, 1+rng.Intn(4), rng.Intn(40)) == nil {
+				if m.Alloc(id, RequestID(id), 1+rng.Intn(4), rng.Intn(40)) == nil {
 					live[id] = true
 				}
 			case 2:
@@ -238,7 +238,7 @@ func TestUtilization(t *testing.T) {
 	if m.Utilization() != 0 {
 		t.Fatal("fresh manager should be at 0 utilization")
 	}
-	mustOK(t, m.Alloc(1, 5, 16))
+	mustOK(t, m.Alloc(1, 1, 5, 16))
 	if got := m.Utilization(); got != 0.5 {
 		t.Fatalf("Utilization=%g want 0.5", got)
 	}

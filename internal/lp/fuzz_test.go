@@ -8,7 +8,7 @@ import (
 
 // FuzzSimplexEquivalence is the differential fuzz target of the
 // warm-start machinery: random small LPs are solved by the frozen legacy
-// solver (reference.go) and by the warm-start path — cold (no basis) and
+// solver (reference_test.go) and by the warm-start path — cold (no basis) and
 // warm (basis from a pre-patch solve) — and all three must agree on
 // status, objective (within 1e-9 relative), and feasibility of the
 // returned point.

@@ -15,7 +15,7 @@
 // optimal Basis, constraints can be patched in place with SetConstraint,
 // and SolveFrom refactors the tableau directly to the supplied basis and
 // resumes phase 2 from there (see warm.go). A frozen copy of the original
-// solver lives in reference.go as the differential-test oracle.
+// solver lives in reference_test.go as the differential-test oracle.
 package lp
 
 import (

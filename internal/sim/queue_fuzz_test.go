@@ -6,7 +6,7 @@ import (
 )
 
 // FuzzQueueEquivalence drives the calendar queue and the frozen binary
-// heap (reference_queue.go) through the same random schedule/cancel/pop
+// heap (reference_queue_test.go) through the same random schedule/cancel/pop
 // sequence and requires identical (At, seq) pop orders. The byte stream
 // decodes to ops of three bytes: the first selects the op, the next two
 // parameterize it. Timestamps deliberately include sub-tick jitter (so

@@ -2,8 +2,8 @@
 // replaced. It exists only as a differential-testing oracle (see
 // TestArenaMatchesReferenceLog): random Add/Addf/query sequences must
 // produce identical results from both implementations. Mirrors the frozen
-// reference queue in internal/sim/reference_queue.go and the reference
-// solver in internal/lp/reference.go.
+// reference queue in internal/sim/reference_queue_test.go and the reference
+// solver in internal/lp/reference_test.go.
 //
 // Do not optimize this file. Its value is that it stays byte-for-byte the
 // storage logic the goldens were recorded against.
