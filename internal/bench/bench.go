@@ -17,9 +17,7 @@ import (
 	"sort"
 	"time"
 
-	"hetis/internal/engine"
 	"hetis/internal/metrics"
-	"hetis/internal/model"
 	"hetis/internal/scenario"
 	"hetis/internal/sweep"
 )
@@ -187,15 +185,10 @@ func measureScenario(spec scenario.Spec, repeat int, stream, noWarm bool, cache 
 	if len(reqs) == 0 {
 		return nil, fmt.Errorf("bench: scenario %s has an empty trace", spec.Name)
 	}
-	m, err := model.ByName(spec.Model)
+	cfg, err := spec.EngineConfig()
 	if err != nil {
 		return nil, err
 	}
-	cluster, err := scenario.ClusterByName(spec.Cluster)
-	if err != nil {
-		return nil, err
-	}
-	cfg := engine.DefaultConfig(m, cluster)
 	horizon := scenario.MeasurementHorizon(spec.Duration) // same window as scenario.RunEngine
 
 	var out []ScenarioBench

@@ -5,9 +5,7 @@ import (
 	"runtime"
 	"time"
 
-	"hetis/internal/engine"
 	"hetis/internal/metrics"
-	"hetis/internal/model"
 	"hetis/internal/scenario"
 	"hetis/internal/sweep"
 	"hetis/internal/trace"
@@ -44,11 +42,7 @@ func measureSinks(spec scenario.Spec, cache *sweep.Cache) ([]SinkBench, error) {
 	if len(reqs) == 0 {
 		return nil, fmt.Errorf("bench: scenario %s has an empty trace", spec.Name)
 	}
-	m, err := model.ByName(spec.Model)
-	if err != nil {
-		return nil, err
-	}
-	cluster, err := scenario.ClusterByName(spec.Cluster)
+	base, err := spec.EngineConfig()
 	if err != nil {
 		return nil, err
 	}
@@ -57,7 +51,7 @@ func measureSinks(spec scenario.Spec, cache *sweep.Cache) ([]SinkBench, error) {
 
 	var out []SinkBench
 	for _, mode := range []string{"exact", "streaming"} {
-		cfg := engine.DefaultConfig(m, cluster)
+		cfg := base
 		if mode == "streaming" {
 			cfg.Sink = metrics.NewStreamingSink(spec.SLO)
 			cfg.NoTrace = true

@@ -186,7 +186,7 @@ func (c *ChaosConfig) maxReplicas() int {
 	return n
 }
 
-// chaosFleet is the surface an engine's replica fleet exposes to the
+// chaosFleet is the surface an engine's replicaSet exposes to the
 // controller. Replica indices are stable across kill/revive.
 type chaosFleet interface {
 	// activeCount is the number of replicas currently serving.

@@ -17,32 +17,45 @@ func tieredChaos() *ChaosConfig {
 	}}
 }
 
-// TestStaticEnginePreemption drives the static engines (hexgen, vllm) into
-// KV-cache pressure with long-context bronze work already decoding, then
-// lands a gold request: the engine must preempt bronze victims rather than
-// queue the gold request behind them, and the victims must requeue (a
-// preemption costs latency, never a completion).
+// TestStaticEnginePreemption drives the static-pipeline engines (hexgen,
+// vllm, and splitwise's decode side) into KV-cache pressure with
+// long-context bronze work already decoding, then lands a gold request:
+// the engine must preempt bronze victims rather than queue the gold
+// request behind them, and the victims must requeue (a preemption costs
+// latency, never a completion).
 func TestStaticEnginePreemption(t *testing.T) {
 	// Prompts clamp at the model's context window, so cache pressure comes
 	// from shrinking the cache, not growing the prompts: at MemHeadroom
 	// 0.8, hexgen's OPT-30B pipeline caches only ~4.8k tokens — two
-	// 1.9k-token contexts fit, a third does not.
-	cfg := DefaultConfig(model.OPT30B, hardware.PaperCluster())
-	cfg.MemHeadroom = 0.8
-	cfg.Chaos = tieredChaos()
-
-	var reqs []workload.Request
-	for i := 0; i < 6; i++ {
-		reqs = append(reqs, workload.Request{
-			ID: int64(i + 1), ArrivalAt: float64(i) * 0.2,
-			PromptLen: 1500, OutputLen: 400, Tenant: "bronze",
-		})
+	// 1.9k-token contexts fit, a third does not. Splitwise cannot hold
+	// OPT-30B that tight; with Llama-13B at 0.7 its decode side caches
+	// ~10k tokens, so eight bronze contexts also overflow while decoding.
+	cases := []struct {
+		engine   string
+		model    model.Config
+		headroom float64
+		bronze   int
+	}{
+		{"hexgen", model.OPT30B, 0.8, 6},
+		{"vllm", model.OPT30B, 0.8, 6},
+		{"splitwise", model.Llama13B, 0.7, 8},
 	}
-	reqs = append(reqs, workload.Request{
-		ID: 100, ArrivalAt: 2, PromptLen: 1500, OutputLen: 100, Tenant: "gold",
-	})
+	for _, c := range cases {
+		name := c.engine
+		cfg := DefaultConfig(c.model, hardware.PaperCluster())
+		cfg.MemHeadroom = c.headroom
+		cfg.Chaos = tieredChaos()
+		var reqs []workload.Request
+		for i := 0; i < c.bronze; i++ {
+			reqs = append(reqs, workload.Request{
+				ID: int64(i + 1), ArrivalAt: float64(i) * 0.2,
+				PromptLen: 1500, OutputLen: 400, Tenant: "bronze",
+			})
+		}
+		reqs = append(reqs, workload.Request{
+			ID: 100, ArrivalAt: 2, PromptLen: 1500, OutputLen: 100, Tenant: "gold",
+		})
 
-	for _, name := range []string{"hexgen", "vllm"} {
 		eng, err := NewByName(name, cfg, reqs)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -51,6 +64,7 @@ func TestStaticEnginePreemption(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		t.Logf("%s: %d preempted, %d evicted", name, res.Preempted, res.Evictions)
 		if res.Preempted == 0 {
 			t.Errorf("%s: gold request under cache pressure should preempt bronze work", name)
 		}

@@ -589,15 +589,3 @@ func moduleLatency(perStage []float64) float64 {
 	}
 	return max * float64(len(perStage))
 }
-
-// pickLeastLoaded returns the index of the instance with the fewest
-// outstanding requests; ties break to the lowest index.
-func pickLeastLoaded(loads []int) int {
-	best := 0
-	for i, l := range loads {
-		if l < loads[best] {
-			best = i
-		}
-	}
-	return best
-}

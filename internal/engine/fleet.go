@@ -1,14 +1,17 @@
-// staticFleet replicates the static-pipeline runtime (HexGen / vLLM) for
-// the chaos layer: every replica runs the same continuous-batching loop
-// over the shared pipeline shape, and the fleet owns routing, failure
-// handling, KV hauling, and scale operations. A healthy run is a fleet of
-// one with a nil controller — every fleet path then degenerates to the
-// legacy single-runtime behaviour that the golden traces pin.
+// The replica lifecycle shared by all four engines. Every engine serves
+// through a replicaSet: a run body that feeds arrivals through admission
+// and routing, plus one implementation of the chaos layer's fleet surface
+// (route, kill, revive, activate, deactivate, scale). A replica supplies
+// only what really differs between engines — its load key, the queue
+// routing and work stealing use, its kick, and a teardown. A healthy run
+// is a set of the engine's base replicas with a nil controller, where
+// every lifecycle path degenerates to the single-deployment behaviour the
+// golden traces pin.
 
 package engine
 
 import (
-	"sort"
+	"cmp"
 
 	"hetis/internal/metrics"
 	"hetis/internal/perf"
@@ -26,10 +29,11 @@ const (
 	replicaParked // provisioned but not serving (autoscale headroom)
 )
 
-// fleetCore is the replica-type-independent fleet bookkeeping shared by
-// the static, splitwise, and hetis fleets: global arrival sequencing, the
-// conservation ledger, the parked backlog, and the serialized KV-haul
-// link.
+// fleetCore is the replica-type-independent bookkeeping of a run: global
+// arrival sequencing, the conservation ledger, the parked backlog, and the
+// serialized KV-haul link. Replicas hold a concrete *fleetCore so the
+// per-token paths (finishDeferred, flushFinishes, dropAdmitted) make no
+// interface or generic-dictionary calls.
 type fleetCore struct {
 	cfg  Config
 	res  *Result
@@ -53,10 +57,6 @@ type fleetCore struct {
 	// loops fill it through finishDeferred and flush it with one batched
 	// sink append before the event callback returns.
 	recBatch []metrics.RequestRecord
-}
-
-func newFleetCore(cfg Config, res *Result, ctl *chaosCtl, sink metrics.Sink) fleetCore {
-	return fleetCore{cfg: cfg, res: res, ctl: ctl, sink: sink}
 }
 
 // admitArrival runs the shared arrival bookkeeping: sequence number,
@@ -136,44 +136,54 @@ func (c *fleetCore) loseVictim(s *sim.Simulator, r *request) {
 	c.res.Trace.Add(trace.Event{At: s.Now(), Kind: trace.KindEviction, Request: r.wl.ID})
 }
 
-type staticFleet struct {
+// replica is one serving replica as its replicaSet sees it: the hooks the
+// shared lifecycle needs, and nothing from the per-token loops.
+type replica interface {
+	// load is the routing key: the least-loaded active replica gets the
+	// next request, the lowest index on ties.
+	load() int
+	// queue is where routed requests wait, and what an activating replica
+	// steals from.
+	queue() *waitQueue
+	// kick starts the replica's loop unless it is already running.
+	kick(s *sim.Simulator)
+	// teardown cancels the replica's pending events, empties it, and
+	// returns every request it held, in seq order, each marked with
+	// whether its KV was resident (and so can be hauled). Requests still
+	// in queue() stay there: they are not victims, they just requeue.
+	teardown(s *sim.Simulator) []victim
+}
+
+// victim is one request a torn-down replica held.
+type victim struct {
+	r        *request
+	resident bool
+}
+
+// bySeq orders a teardown's victims by admission (slices.SortFunc).
+func bySeq(a, b victim) int { return cmp.Compare(a.r.seq, b.r.seq) }
+
+// replicaSet is a run's replicas and their lifecycle; it implements
+// chaosFleet. Replica indices are stable across kill and revive.
+type replicaSet[R replica] struct {
 	fleetCore
-	est      *perf.Estimator
-	replicas []*staticRuntime
+	replicas []R
+	state    []replicaState
+	// land places a request whose KV haul has landed. It routes like an
+	// arrival unless the engine overrides it (Splitwise lands hauls on a
+	// decode queue).
+	land func(*sim.Simulator, *request)
 }
 
-func newStaticFleet(cfg Config, est *perf.Estimator, pipe *staticPipeline, res *Result, ctl *chaosCtl, sink metrics.Sink, chaos *ChaosConfig) *staticFleet {
-	width, total := 1, 1
-	if chaos != nil {
-		width = chaos.initialReplicas()
-		total = chaos.maxReplicas()
-	}
-	f := &staticFleet{fleetCore: newFleetCore(cfg, res, ctl, sink), est: est}
-	for i := 0; i < total; i++ {
-		rt := &staticRuntime{
-			cfg:     cfg,
-			est:     est,
-			pipe:    pipe,
-			res:     res,
-			fleet:   f,
-			idx:     i,
-			state:   replicaParked,
-			waiting: newWaitQueue(ctl.tiered()),
-			byID:    map[int64]*request{},
-		}
-		if i < width {
-			rt.state = replicaActive
-		}
-		rt.stepFn = rt.step
-		rt.prefillDoneFn = rt.prefillDone
-		rt.decodeDoneFn = rt.decodeDone
-		f.replicas = append(f.replicas, rt)
-	}
-	return f
-}
-
-// runStatic is the shared Run body of the two static-pipeline engines.
-func runStatic(name string, cfg Config, est *perf.Estimator, pipe *staticPipeline, capBytes int64, reqs []workload.Request, horizon float64) (*Result, error) {
+// runReplicas is the one Run body behind every engine. It clamps the
+// trace to the context window, resolves the sink and the chaos
+// controller, builds base replicas — or the chaos config's width and
+// capacity — with build, feeds arrivals through admission and routing, and
+// simulates to the horizon. start, when set, runs after the arrivals are
+// scheduled and before the simulation. The set comes back for the
+// engine's epilogue and for tests.
+func runReplicas[R replica](cfg Config, name string, capBytes int64, base int, reqs []workload.Request, horizon float64,
+	build func(i int, fleet *fleetCore) (R, error), start func(*sim.Simulator, *replicaSet[R])) (*Result, *replicaSet[R], error) {
 	reqs = workload.Truncate(reqs, cfg.Model.MaxSeqLen) // clamp to the context window
 	sink, rec := cfg.newRunSink(len(reqs))
 	res := &Result{
@@ -186,159 +196,160 @@ func runStatic(name string, cfg Config, est *perf.Estimator, pipe *staticPipelin
 	iters := moduleSeriesCap(reqs)
 	res.DenseTimes = make([]float64, 0, iters)
 	res.AttnTimes = make([]float64, 0, iters)
-	chaos := cfg.Chaos.normalize()
-	var ctl *chaosCtl
-	runSink := sink
-	if chaos != nil {
-		ctl = newChaosCtl(chaos, res, res.Trace, sink)
-		runSink = ctl
+	f := &replicaSet[R]{fleetCore: fleetCore{cfg: cfg, res: res, sink: sink}}
+	f.land = f.route
+	width, total := base, base
+	if chaos := cfg.Chaos.normalize(); chaos != nil {
+		f.ctl = newChaosCtl(chaos, res, res.Trace, sink)
+		f.ctl.bind(f)
+		f.sink = f.ctl
+		width = max(base, chaos.initialReplicas())
+		total = max(width, chaos.maxReplicas())
 	}
-	f := newStaticFleet(cfg, est, pipe, res, ctl, runSink, chaos)
-	if ctl != nil {
-		ctl.bind(f)
+	for i := 0; i < total; i++ {
+		rt, err := build(i, &f.fleetCore)
+		if err != nil {
+			return nil, nil, err
+		}
+		st := replicaParked
+		if i < width {
+			st = replicaActive
+		}
+		f.replicas = append(f.replicas, rt)
+		f.state = append(f.state, st)
 	}
 	s := sim.New()
 	s.MaxEvents = cfg.MaxSimEvents(len(reqs))
-	ctl.start(s)
+	f.ctl.start(s)
 	scheduleArrivals(s, reqs, func(s *sim.Simulator, r *request) {
-		if !f.admitArrival(s, r) {
-			return
+		if f.admitArrival(s, r) {
+			f.route(s, r)
 		}
-		f.route(s, r)
 	})
+	if start != nil {
+		start(s, f)
+	}
 	if err := s.Run(horizon); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res.Horizon = s.Now()
 	res.Events = s.Executed
 	res.Queued = f.inSystem
-	return res, nil
+	return res, f, nil
 }
 
 // activeCount implements chaosFleet.
-func (f *staticFleet) activeCount() int {
+func (f *replicaSet[R]) activeCount() int {
 	n := 0
-	for _, rt := range f.replicas {
-		if rt.state == replicaActive {
+	for _, st := range f.state {
+		if st == replicaActive {
 			n++
 		}
 	}
 	return n
 }
 
-// route sends a request to the least-loaded active replica, or parks it
-// when no replica is serving (a reviving replica drains the park).
-func (f *staticFleet) route(s *sim.Simulator, r *request) {
-	var best *staticRuntime
-	for _, rt := range f.replicas {
-		if rt.state != replicaActive {
+// leastLoaded is the index of the active replica with the lowest load
+// (the first on ties), or -1 when none is serving.
+func (f *replicaSet[R]) leastLoaded() int {
+	best, bestLoad := -1, 0
+	for i, rt := range f.replicas {
+		if f.state[i] != replicaActive {
 			continue
 		}
-		if best == nil || rt.load() < best.load() {
-			best = rt
+		if load := rt.load(); best < 0 || load < bestLoad {
+			best, bestLoad = i, load
 		}
 	}
-	if best == nil {
+	return best
+}
+
+// route sends a request to the least-loaded active replica, or parks it
+// when no replica is serving (an activating replica drains the park).
+func (f *replicaSet[R]) route(s *sim.Simulator, r *request) {
+	i := f.leastLoaded()
+	if i < 0 {
 		f.parked.push(r)
 		return
 	}
-	best.waiting.push(r)
-	best.kick(s)
+	rt := f.replicas[i]
+	rt.queue().push(r)
+	rt.kick(s)
 }
 
-// deactivate takes a replica out of service, re-dispatching everything it
-// held: running requests haul their KV to survivors (haul mode) or lose it
-// and re-prefill; mid-prefill and waiting requests requeue as-is.
-func (f *staticFleet) deactivate(s *sim.Simulator, rt *staticRuntime, haul bool, to replicaState) {
-	rt.state = to
-	if rt.busy {
-		s.Cancel(rt.pending)
-		rt.busy = false
-	}
-	resident := map[int64]bool{}
-	for _, r := range rt.running {
-		resident[r.wl.ID] = true
-	}
-	victims := make([]*request, 0, len(rt.byID))
-	for _, r := range rt.byID {
-		victims = append(victims, r)
-	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].seq < victims[j].seq })
-	for _, r := range victims {
-		id := r.wl.ID
-		delete(rt.byID, id)
+// deactivate takes replica i out of service and re-dispatches everything
+// it held: resident requests haul their KV to survivors (haul mode) or
+// lose it and re-prefill, like every other victim; queued requests
+// requeue as-is.
+func (f *replicaSet[R]) deactivate(s *sim.Simulator, i int, haul bool, to replicaState) {
+	f.state[i] = to
+	rt := f.replicas[i]
+	for _, v := range rt.teardown(s) {
+		r := v.r
 		r.evicted = true
 		r.restartCtx = r.contextLen()
-		if haul && resident[id] {
+		if haul && v.resident {
 			r.hauled = true
-			f.haulTo(s, r, f.route)
+			f.haulTo(s, r, f.land)
 			continue
 		}
 		f.loseVictim(s, r)
 		f.route(s, r)
 	}
-	rt.running = rt.running[:0]
-	rt.used = 0
-	for rt.waiting.len() > 0 {
-		f.route(s, rt.waiting.pop())
+	for q := rt.queue(); q.len() > 0; {
+		f.route(s, q.pop())
 	}
 }
 
 // kill implements chaosFleet.
-func (f *staticFleet) kill(s *sim.Simulator, replica int, haul bool) {
-	if replica >= len(f.replicas) {
+func (f *replicaSet[R]) kill(s *sim.Simulator, replica int, haul bool) {
+	if replica >= len(f.replicas) || f.state[replica] != replicaActive {
 		return
 	}
-	rt := f.replicas[replica]
-	if rt.state != replicaActive {
-		return
-	}
-	f.deactivate(s, rt, haul, replicaFailed)
+	f.deactivate(s, replica, haul, replicaFailed)
 }
 
 // revive implements chaosFleet.
-func (f *staticFleet) revive(s *sim.Simulator, replica int) {
-	if replica >= len(f.replicas) {
+func (f *replicaSet[R]) revive(s *sim.Simulator, replica int) {
+	if replica >= len(f.replicas) || f.state[replica] != replicaFailed {
 		return
 	}
-	rt := f.replicas[replica]
-	if rt.state != replicaFailed {
-		return
-	}
-	f.activate(s, rt)
+	f.activate(s, replica)
 }
 
-// activate brings a replica into service and hands it the parked backlog,
+// activate brings replica i into service and hands it the parked backlog,
 // then steals queued (not yet admitted) work from busier replicas so the
 // newcomer helps drain the backlog instead of waiting on fresh arrivals.
-func (f *staticFleet) activate(s *sim.Simulator, rt *staticRuntime) {
-	rt.state = replicaActive
+func (f *replicaSet[R]) activate(s *sim.Simulator, i int) {
+	f.state[i] = replicaActive
+	rt := f.replicas[i]
+	q := rt.queue()
 	for f.parked.len() > 0 {
-		rt.waiting.push(f.parked.pop())
+		q.push(f.parked.pop())
 	}
 	for {
-		var donor *staticRuntime
-		for _, o := range f.replicas {
-			if o == rt || o.state != replicaActive {
+		var donor *waitQueue
+		for j, o := range f.replicas {
+			if j == i || f.state[j] != replicaActive {
 				continue
 			}
-			if donor == nil || o.waiting.len() > donor.waiting.len() {
-				donor = o
+			if oq := o.queue(); donor == nil || oq.len() > donor.len() {
+				donor = oq
 			}
 		}
-		if donor == nil || donor.waiting.len() <= rt.waiting.len()+1 {
+		if donor == nil || donor.len() <= q.len()+1 {
 			break
 		}
-		rt.waiting.push(donor.waiting.pop())
+		q.push(donor.pop())
 	}
 	rt.kick(s)
 }
 
 // scaleUp implements chaosFleet: activate the first parked replica.
-func (f *staticFleet) scaleUp(s *sim.Simulator) bool {
-	for _, rt := range f.replicas {
-		if rt.state == replicaParked {
-			f.activate(s, rt)
+func (f *replicaSet[R]) scaleUp(s *sim.Simulator) bool {
+	for i, st := range f.state {
+		if st == replicaParked {
+			f.activate(s, i)
 			return true
 		}
 	}
@@ -347,13 +358,13 @@ func (f *staticFleet) scaleUp(s *sim.Simulator) bool {
 
 // scaleDown implements chaosFleet: drain the highest-index active replica
 // (its KV hauls to survivors — a graceful drain, not a crash).
-func (f *staticFleet) scaleDown(s *sim.Simulator) bool {
+func (f *replicaSet[R]) scaleDown(s *sim.Simulator) bool {
 	if f.activeCount() <= 1 {
 		return false
 	}
-	for i := len(f.replicas) - 1; i >= 0; i-- {
-		if f.replicas[i].state == replicaActive {
-			f.deactivate(s, f.replicas[i], true, replicaParked)
+	for i := len(f.state) - 1; i >= 0; i-- {
+		if f.state[i] == replicaActive {
+			f.deactivate(s, i, true, replicaParked)
 			return true
 		}
 	}

@@ -128,12 +128,11 @@ func stageFreeBytes(cfg Config, st parallelizer.Stage) int64 {
 	return int64(mem - weights)
 }
 
-// hetisInstance is the runtime of one serving instance. Under chaos it is
-// one replica of a hetisFleet; a healthy run's fleet has exactly the
-// plan's instances, all active, and behaves like the legacy loop.
+// hetisInstance is the runtime of one serving instance, one replica of a
+// replicaSet. A healthy run's set has exactly the plan's instances, all
+// active, and behaves like the legacy loop.
 type hetisInstance struct {
 	eng    *Hetis
-	idx    int
 	stages []parallelizer.Stage
 	links  []hardware.LinkSpec
 	pool   []hardware.DeviceID
@@ -146,8 +145,7 @@ type hetisInstance struct {
 	// workerLink is the channel from the instance primary to the worker.
 	workerLink []hardware.LinkSpec
 
-	fleet *hetisFleet
-	state replicaState
+	fleet *fleetCore
 	// pending is the instance's single outstanding loop event (step,
 	// prefill, or decode completion) — what a failure cancels.
 	pending sim.Handle
@@ -221,15 +219,16 @@ type decodeCost struct {
 	dense       float64
 }
 
-func (h *Hetis) newInstance(idx int, in parallelizer.Instance, res *Result) (*hetisInstance, error) {
+func (h *Hetis) newInstance(in parallelizer.Instance, fleet *fleetCore) (*hetisInstance, error) {
 	cfg := h.cfg
 	inst := &hetisInstance{
-		eng:    h,
-		idx:    idx,
-		stages: in.Stages,
-		pool:   in.AttentionWorkers,
-		res:    res,
-		cfg:    &h.cfg,
+		eng:     h,
+		stages:  in.Stages,
+		pool:    in.AttentionWorkers,
+		fleet:   fleet,
+		waiting: newWaitQueue(fleet.ctl.tiered()),
+		res:     fleet.res,
+		cfg:     &h.cfg,
 	}
 	groupTok := cfg.Model.KVBytesPerTokenHeadGroup() * int64(cfg.Model.Layers)
 
@@ -297,68 +296,19 @@ func (h *Hetis) Run(reqs []workload.Request, horizon float64) (*Result, error) {
 	return res, err
 }
 
-// run is Run that also returns the fleet it served with, so tests can
-// inspect the instances' final state.
-func (h *Hetis) run(reqs []workload.Request, horizon float64) (*Result, *hetisFleet, error) {
-	reqs = workload.Truncate(reqs, h.cfg.Model.MaxSeqLen) // clamp to the context window
-	sink, rec := h.cfg.newRunSink(len(reqs))
-	res := &Result{
-		Engine:        h.Name(),
-		Sink:          sink,
-		Recorder:      rec,
-		Trace:         h.cfg.newTraceLog(),
-		CacheCapacity: h.CacheCapacity(),
-		HeadSeries:    map[hardware.DeviceID]*metrics.Series{},
-		CacheSeries:   map[hardware.DeviceID]*metrics.Series{},
-	}
-	iters := moduleSeriesCap(reqs)
-	res.DenseTimes = make([]float64, 0, iters)
-	res.AttnTimes = make([]float64, 0, iters)
-	chaos := h.cfg.Chaos.normalize()
-	var ctl *chaosCtl
-	runSink := sink
-	if chaos != nil {
-		ctl = newChaosCtl(chaos, res, res.Trace, sink)
-		runSink = ctl
-	}
-	f, err := newHetisFleet(h, res, ctl, runSink, chaos)
+// run is Run that also returns the replica set it served with, so tests
+// can inspect the instances' final state. The plan's instances are the
+// base replicas; chaos replicas beyond them reuse the plan's instance
+// templates round-robin (same stages and pool, modelling identical spare
+// deployments).
+func (h *Hetis) run(reqs []workload.Request, horizon float64) (*Result, *replicaSet[*hetisInstance], error) {
+	base := len(h.plan.Instances)
+	res, f, err := runReplicas(h.cfg, h.Name(), h.CacheCapacity(), base, reqs, horizon, func(i int, fleet *fleetCore) (*hetisInstance, error) {
+		return h.newInstance(h.plan.Instances[i%base], fleet)
+	}, h.startSampler)
 	if err != nil {
 		return nil, nil, err
 	}
-	if ctl != nil {
-		ctl.bind(f)
-	}
-
-	s := sim.New()
-	s.MaxEvents = h.cfg.MaxSimEvents(len(reqs))
-	ctl.start(s)
-	scheduleArrivals(s, reqs, func(s *sim.Simulator, r *request) {
-		if !f.admitArrival(s, r) {
-			return
-		}
-		f.route(s, r)
-	})
-	if h.cfg.SampleEvery > 0 {
-		// Sample only the plan's own instances: extra chaos replicas reuse
-		// the same devices, so sampling them would double-count series keys.
-		sampled := f.replicas[:len(h.plan.Instances)]
-		var sample func(s *sim.Simulator)
-		sample = func(s *sim.Simulator) {
-			for _, inst := range sampled {
-				inst.sample(s.Now())
-			}
-			if s.Pending() > 0 {
-				s.After(h.cfg.SampleEvery, "sample", sample)
-			}
-		}
-		s.After(h.cfg.SampleEvery, "sample", sample)
-	}
-	if err := s.Run(horizon); err != nil {
-		return nil, nil, err
-	}
-	res.Horizon = s.Now()
-	res.Events = s.Executed
-	res.Queued = f.inSystem
 	for _, inst := range f.replicas {
 		res.LPSolves += inst.disp.LPSolves
 		res.LPSolvesAvoided += inst.disp.LPSolvesAvoided
@@ -371,79 +321,39 @@ func (h *Hetis) run(reqs []workload.Request, horizon float64) (*Result, *hetisFl
 	return res, f, nil
 }
 
-// hetisFleet replicates serving instances for the chaos layer. The plan's
-// instances are the base fleet; chaos replicas beyond them reuse the plan's
-// instance templates round-robin (same stages and pool, modelling identical
-// spare deployments).
-type hetisFleet struct {
-	fleetCore
-	eng      *Hetis
-	replicas []*hetisInstance
-}
-
-func newHetisFleet(h *Hetis, res *Result, ctl *chaosCtl, sink metrics.Sink, chaos *ChaosConfig) (*hetisFleet, error) {
-	base := len(h.plan.Instances)
-	width, total := base, base
-	if chaos != nil {
-		width = max(base, chaos.initialReplicas())
-		total = max(width, chaos.maxReplicas())
-	}
-	f := &hetisFleet{fleetCore: newFleetCore(h.cfg, res, ctl, sink), eng: h}
-	for i := 0; i < total; i++ {
-		inst, err := h.newInstance(i, h.plan.Instances[i%base], res)
-		if err != nil {
-			return nil, err
-		}
-		inst.fleet = f
-		inst.waiting = newWaitQueue(ctl.tiered())
-		inst.state = replicaParked
-		if i < width {
-			inst.state = replicaActive
-		}
-		f.replicas = append(f.replicas, inst)
-	}
-	return f, nil
-}
-
-// activeCount implements chaosFleet.
-func (f *hetisFleet) activeCount() int {
-	n := 0
-	for _, inst := range f.replicas {
-		if inst.state == replicaActive {
-			n++
-		}
-	}
-	return n
-}
-
-// route sends a request to the least-loaded active instance (the legacy
-// load key: waiting plus running), or parks it when none is serving.
-func (f *hetisFleet) route(s *sim.Simulator, r *request) {
-	var best *hetisInstance
-	bestLoad := 0
-	for _, inst := range f.replicas {
-		if inst.state != replicaActive {
-			continue
-		}
-		load := inst.waiting.len() + len(inst.running)
-		if best == nil || load < bestLoad {
-			best, bestLoad = inst, load
-		}
-	}
-	if best == nil {
-		f.parked.push(r)
+// startSampler gives the run its per-device head and cache series and, at
+// SampleEvery > 0, schedules the sampling timer over the plan's own
+// instances: extra chaos replicas reuse the same devices, so sampling them
+// would double-count series keys.
+func (h *Hetis) startSampler(s *sim.Simulator, f *replicaSet[*hetisInstance]) {
+	f.res.HeadSeries = map[hardware.DeviceID]*metrics.Series{}
+	f.res.CacheSeries = map[hardware.DeviceID]*metrics.Series{}
+	if h.cfg.SampleEvery <= 0 {
 		return
 	}
-	best.waiting.push(r)
-	best.kick(s)
+	sampled := f.replicas[:len(h.plan.Instances)]
+	var sample func(s *sim.Simulator)
+	sample = func(s *sim.Simulator) {
+		for _, inst := range sampled {
+			inst.sample(s.Now())
+		}
+		if s.Pending() > 0 {
+			s.After(h.cfg.SampleEvery, "sample", sample)
+		}
+	}
+	s.After(h.cfg.SampleEvery, "sample", sample)
 }
 
-// deactivate takes an instance out of service: its loop event is
-// cancelled, dispatch and KV state torn down, and every in-system request
-// re-dispatched — running requests haul their KV to survivors (haul mode)
-// or lose it and re-prefill; waiting requests requeue as-is.
-func (f *hetisFleet) deactivate(s *sim.Simulator, inst *hetisInstance, haul bool, to replicaState) {
-	inst.state = to
+// load implements replica: waiting plus running requests.
+func (inst *hetisInstance) load() int { return inst.waiting.len() + len(inst.running) }
+
+// queue implements replica.
+func (inst *hetisInstance) queue() *waitQueue { return inst.waiting }
+
+// teardown implements replica: the loop event is cancelled, and dispatch
+// and KV state torn down. Every slot holder is a victim; the running ones
+// hold resident KV.
+func (inst *hetisInstance) teardown(s *sim.Simulator) []victim {
 	if inst.busy {
 		s.Cancel(inst.pending)
 		inst.busy = false
@@ -452,108 +362,21 @@ func (f *hetisFleet) deactivate(s *sim.Simulator, inst *hetisInstance, haul bool
 	for _, r := range inst.running {
 		resident[r.slot] = true
 	}
-	var victims []*request
-	for _, st := range inst.slots {
+	var victims []victim
+	for slot, st := range inst.slots {
 		if st.req != nil {
-			victims = append(victims, st.req)
+			victims = append(victims, victim{st.req, resident[slot]})
 		}
 	}
-	slices.SortFunc(victims, func(a, b *request) int { return cmp.Compare(a.seq, b.seq) })
-	for _, r := range victims {
-		slot := int(r.slot)
-		inst.kvFree(slot)
-		inst.releaseSlot(r)
-		r.evicted = true
-		r.restartCtx = r.contextLen()
-		if haul && resident[slot] {
-			r.hauled = true
-			f.haulTo(s, r, f.route)
-			continue
-		}
-		f.loseVictim(s, r)
-		f.route(s, r)
+	slices.SortFunc(victims, bySeq)
+	for _, v := range victims {
+		inst.kvFree(int(v.r.slot))
+		inst.releaseSlot(v.r)
 	}
 	inst.disp.Clear()
 	inst.running = inst.running[:0]
 	inst.pendingDelay = 0
-	for inst.waiting.len() > 0 {
-		f.route(s, inst.waiting.pop())
-	}
-}
-
-// kill implements chaosFleet.
-func (f *hetisFleet) kill(s *sim.Simulator, replica int, haul bool) {
-	if replica >= len(f.replicas) {
-		return
-	}
-	inst := f.replicas[replica]
-	if inst.state != replicaActive {
-		return
-	}
-	f.deactivate(s, inst, haul, replicaFailed)
-}
-
-// revive implements chaosFleet.
-func (f *hetisFleet) revive(s *sim.Simulator, replica int) {
-	if replica >= len(f.replicas) {
-		return
-	}
-	inst := f.replicas[replica]
-	if inst.state != replicaFailed {
-		return
-	}
-	f.activate(s, inst)
-}
-
-// activate brings an instance into service, hands it the parked backlog,
-// and steals queued (not yet admitted) work from busier instances so the
-// newcomer helps drain the backlog instead of waiting on fresh arrivals.
-func (f *hetisFleet) activate(s *sim.Simulator, inst *hetisInstance) {
-	inst.state = replicaActive
-	for f.parked.len() > 0 {
-		inst.waiting.push(f.parked.pop())
-	}
-	for {
-		var donor *hetisInstance
-		for _, o := range f.replicas {
-			if o == inst || o.state != replicaActive {
-				continue
-			}
-			if donor == nil || o.waiting.len() > donor.waiting.len() {
-				donor = o
-			}
-		}
-		if donor == nil || donor.waiting.len() <= inst.waiting.len()+1 {
-			break
-		}
-		inst.waiting.push(donor.waiting.pop())
-	}
-	inst.kick(s)
-}
-
-// scaleUp implements chaosFleet.
-func (f *hetisFleet) scaleUp(s *sim.Simulator) bool {
-	for _, inst := range f.replicas {
-		if inst.state == replicaParked {
-			f.activate(s, inst)
-			return true
-		}
-	}
-	return false
-}
-
-// scaleDown implements chaosFleet: drain the highest-index active instance.
-func (f *hetisFleet) scaleDown(s *sim.Simulator) bool {
-	if f.activeCount() <= 1 {
-		return false
-	}
-	for i := len(f.replicas) - 1; i >= 0; i-- {
-		if f.replicas[i].state == replicaActive {
-			f.deactivate(s, f.replicas[i], true, replicaParked)
-			return true
-		}
-	}
-	return false
+	return victims
 }
 
 func (inst *hetisInstance) kick(s *sim.Simulator) {

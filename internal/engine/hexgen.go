@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"hetis/internal/parallelizer"
 	"hetis/internal/perf"
@@ -45,23 +46,41 @@ func (h *HexGen) Stages() []parallelizer.Stage { return h.pipe.stages }
 
 // Run implements Engine.
 func (h *HexGen) Run(reqs []workload.Request, horizon float64) (*Result, error) {
-	return runStatic(h.Name(), h.cfg, h.est, h.pipe, h.CacheCapacity(), reqs, horizon)
+	res, _, err := runStatic(h.Name(), h.cfg, h.est, h.pipe, h.CacheCapacity(), reqs, horizon)
+	return res, err
+}
+
+// runStatic is the Run body of the two static-pipeline engines: the
+// shared replica run over staticRuntime replicas of one pipeline shape.
+func runStatic(name string, cfg Config, est *perf.Estimator, pipe *staticPipeline, capBytes int64, reqs []workload.Request, horizon float64) (*Result, *replicaSet[*staticRuntime], error) {
+	return runReplicas(cfg, name, capBytes, 1, reqs, horizon, func(_ int, fleet *fleetCore) (*staticRuntime, error) {
+		rt := &staticRuntime{
+			cfg:     cfg,
+			est:     est,
+			pipe:    pipe,
+			res:     fleet.res,
+			fleet:   fleet,
+			waiting: newWaitQueue(fleet.ctl.tiered()),
+			byID:    map[int64]*request{},
+		}
+		rt.stepFn = rt.step
+		rt.prefillDoneFn = rt.prefillDone
+		rt.decodeDoneFn = rt.decodeDone
+		return rt, nil
+	}, nil)
 }
 
 // staticRuntime is the colocated continuous-batching loop shared shape
 // with Hetis' instance, but with token-count cache accounting and no
-// dynamic dispatch. Under chaos it is one replica of a staticFleet; a
-// healthy run is a fleet of one, which behaves exactly like the original
-// single runtime.
+// dynamic dispatch. It is one replica of a replicaSet; a healthy run is a
+// set of one, which behaves exactly like the original single runtime.
 type staticRuntime struct {
 	cfg  Config
 	est  *perf.Estimator
 	pipe *staticPipeline
 	res  *Result
 
-	fleet *staticFleet
-	idx   int
-	state replicaState
+	fleet *fleetCore
 	// used is this replica's cache occupancy in tokens (the pipeline shape
 	// is shared; occupancy is per replica).
 	used int64
@@ -86,15 +105,41 @@ type staticRuntime struct {
 	promptBuf     []int
 }
 
-// load is the replica's in-system request count, the routing key.
+// load implements replica: the in-system request count.
 func (rt *staticRuntime) load() int { return len(rt.byID) + rt.waiting.len() }
 
+// queue implements replica.
+func (rt *staticRuntime) queue() *waitQueue { return rt.waiting }
+
+// kick implements replica.
 func (rt *staticRuntime) kick(s *sim.Simulator) {
 	if rt.busy {
 		return
 	}
 	rt.busy = true
 	rt.pending = s.After(0, "hexgen-step", rt.stepFn)
+}
+
+// teardown implements replica: every admitted request is a victim, and
+// the running ones hold resident KV; mid-prefill ones do not.
+func (rt *staticRuntime) teardown(s *sim.Simulator) []victim {
+	if rt.busy {
+		s.Cancel(rt.pending)
+		rt.busy = false
+	}
+	resident := map[int64]bool{}
+	for _, r := range rt.running {
+		resident[r.wl.ID] = true
+	}
+	victims := make([]victim, 0, len(rt.byID))
+	for id, r := range rt.byID {
+		victims = append(victims, victim{r, resident[id]})
+	}
+	slices.SortFunc(victims, bySeq)
+	clear(rt.byID)
+	rt.running = rt.running[:0]
+	rt.used = 0
+	return victims
 }
 
 func (rt *staticRuntime) step(s *sim.Simulator) {

@@ -2,10 +2,9 @@ package engine
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"hetis/internal/hardware"
-	"hetis/internal/metrics"
 	"hetis/internal/parallelizer"
 	"hetis/internal/perf"
 	"hetis/internal/sim"
@@ -77,270 +76,46 @@ func (sw *Splitwise) DecodeStages() []parallelizer.Stage { return sw.decode.stag
 
 // Run implements Engine.
 func (sw *Splitwise) Run(reqs []workload.Request, horizon float64) (*Result, error) {
-	reqs = workload.Truncate(reqs, sw.cfg.Model.MaxSeqLen) // clamp to the context window
-	sink, rec := sw.cfg.newRunSink(len(reqs))
-	res := &Result{
-		Engine:        sw.Name(),
-		Sink:          sink,
-		Recorder:      rec,
-		Trace:         sw.cfg.newTraceLog(),
-		CacheCapacity: sw.CacheCapacity(),
-	}
-	iters := moduleSeriesCap(reqs)
-	res.DenseTimes = make([]float64, 0, iters)
-	res.AttnTimes = make([]float64, 0, iters)
-	chaos := sw.cfg.Chaos.normalize()
-	var ctl *chaosCtl
-	runSink := sink
-	if chaos != nil {
-		ctl = newChaosCtl(chaos, res, res.Trace, sink)
-		runSink = ctl
-	}
-	f := newSplitwiseFleet(sw, res, ctl, runSink, chaos)
-	if ctl != nil {
-		ctl.bind(f)
-	}
-	s := sim.New()
-	s.MaxEvents = sw.cfg.MaxSimEvents(len(reqs))
-	ctl.start(s)
-	scheduleArrivals(s, reqs, func(s *sim.Simulator, r *request) {
-		if !f.admitArrival(s, r) {
-			return
-		}
-		f.route(s, r)
-	})
-	if err := s.Run(horizon); err != nil {
-		return nil, err
-	}
-	res.Horizon = s.Now()
-	res.Events = s.Executed
-	res.Queued = f.inSystem
-	return res, nil
+	res, _, err := sw.run(reqs, horizon)
+	return res, err
 }
 
-// splitwiseFleet replicates the prefill/decode pair: a replica is one
-// whole phase-split deployment, so a failure takes down both sides and a
-// scale-up adds another pair.
-type splitwiseFleet struct {
-	fleetCore
-	sw       *Splitwise
-	replicas []*splitwiseRuntime
-}
-
-func newSplitwiseFleet(sw *Splitwise, res *Result, ctl *chaosCtl, sink metrics.Sink, chaos *ChaosConfig) *splitwiseFleet {
-	width, total := 1, 1
-	if chaos != nil {
-		width = chaos.initialReplicas()
-		total = chaos.maxReplicas()
-	}
-	f := &splitwiseFleet{fleetCore: newFleetCore(sw.cfg, res, ctl, sink), sw: sw}
-	for i := 0; i < total; i++ {
-		rt := &splitwiseRuntime{
+// run is Run that also returns the replica set it served with. A replica
+// is one whole phase-split deployment, so a failure takes down both sides
+// and a scale-up adds another pair.
+func (sw *Splitwise) run(reqs []workload.Request, horizon float64) (*Result, *replicaSet[*splitwiseRuntime], error) {
+	return runReplicas(sw.cfg, sw.Name(), sw.CacheCapacity(), 1, reqs, horizon, func(_ int, fleet *fleetCore) (*splitwiseRuntime, error) {
+		return &splitwiseRuntime{
 			sw:       sw,
-			res:      res,
-			fleet:    f,
-			idx:      i,
-			state:    replicaParked,
-			prefillQ: newWaitQueue(ctl.tiered()),
-			decodeQ:  newWaitQueue(ctl.tiered()),
+			res:      fleet.res,
+			fleet:    fleet,
+			prefillQ: newWaitQueue(fleet.ctl.tiered()),
+			decodeQ:  newWaitQueue(fleet.ctl.tiered()),
 			handoffs: map[int64]*request{},
-		}
-		if i < width {
-			rt.state = replicaActive
-		}
-		f.replicas = append(f.replicas, rt)
-	}
-	return f
-}
-
-// activeCount implements chaosFleet.
-func (f *splitwiseFleet) activeCount() int {
-	n := 0
-	for _, rt := range f.replicas {
-		if rt.state == replicaActive {
-			n++
-		}
-	}
-	return n
-}
-
-// route sends a request to the least-loaded active replica's prefill
-// queue, or parks it when no replica is serving.
-func (f *splitwiseFleet) route(s *sim.Simulator, r *request) {
-	var best *splitwiseRuntime
-	for _, rt := range f.replicas {
-		if rt.state != replicaActive {
-			continue
-		}
-		if best == nil || rt.load() < best.load() {
-			best = rt
-		}
-	}
-	if best == nil {
-		f.parked.push(r)
-		return
-	}
-	best.prefillQ.push(r)
-	best.kickPrefill(s)
-}
-
-// deactivate takes a replica pair out of service. Requests holding KV on
-// the decode side (running or transferred) haul it to survivors under
-// haul mode; everything else — waiting, mid-prefill, mid-handoff — loses
-// its progress and re-prefills.
-func (f *splitwiseFleet) deactivate(s *sim.Simulator, rt *splitwiseRuntime, haul bool, to replicaState) {
-	rt.state = to
-	if rt.prefillBusy {
-		s.Cancel(rt.prefillPending)
-		rt.prefillBusy = false
-	}
-	if rt.decodeBusy {
-		s.Cancel(rt.decodePending)
-		rt.decodeBusy = false
-	}
-	rt.handoffGroup.CancelAll(s)
-
-	resident := map[int64]bool{}
-	var victims []*request
-	for _, r := range rt.running {
-		resident[r.wl.ID] = true
-		victims = append(victims, r)
-	}
-	for rt.decodeQ.len() > 0 {
-		r := rt.decodeQ.pop()
-		resident[r.wl.ID] = true
-		victims = append(victims, r)
-	}
-	for _, r := range rt.handoffs {
-		victims = append(victims, r)
-	}
-	victims = append(victims, rt.prefillBatch...)
-	for rt.prefillQ.len() > 0 {
-		victims = append(victims, rt.prefillQ.pop())
-	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].seq < victims[j].seq })
-	for _, r := range victims {
-		r.evicted = true
-		r.restartCtx = r.contextLen()
-		if haul && resident[r.wl.ID] {
-			r.hauled = true
-			f.haulTo(s, r, f.routeHauled)
-			continue
-		}
-		f.loseVictim(s, r)
-		f.route(s, r)
-	}
-	rt.running = rt.running[:0]
-	rt.prefillBatch = nil
-	rt.handoffs = map[int64]*request{}
-	rt.usedDecode = 0
-	rt.inPrefill = 0
-}
-
-// routeHauled lands a hauled request straight on a survivor's decode
-// queue: its KV moved with it, so it skips the prefill phase.
-func (f *splitwiseFleet) routeHauled(s *sim.Simulator, r *request) {
-	var best *splitwiseRuntime
-	for _, rt := range f.replicas {
-		if rt.state != replicaActive {
-			continue
-		}
-		if best == nil || rt.load() < best.load() {
-			best = rt
-		}
-	}
-	if best == nil {
-		r.hauled = false // park loses the staged KV
-		f.parked.push(r)
-		return
-	}
-	r.hauled = false // KV is resident again once the transfer lands
-	best.decodeQ.push(r)
-	best.kickDecode(s)
-}
-
-// kill implements chaosFleet.
-func (f *splitwiseFleet) kill(s *sim.Simulator, replica int, haul bool) {
-	if replica >= len(f.replicas) {
-		return
-	}
-	rt := f.replicas[replica]
-	if rt.state != replicaActive {
-		return
-	}
-	f.deactivate(s, rt, haul, replicaFailed)
-}
-
-// revive implements chaosFleet.
-func (f *splitwiseFleet) revive(s *sim.Simulator, replica int) {
-	if replica >= len(f.replicas) {
-		return
-	}
-	rt := f.replicas[replica]
-	if rt.state != replicaFailed {
-		return
-	}
-	f.activate(s, rt)
-}
-
-// activate brings a replica into service, hands it the parked backlog,
-// and steals queued prefill work from busier replicas (decode queues stay
-// put — their KV is resident where it is).
-func (f *splitwiseFleet) activate(s *sim.Simulator, rt *splitwiseRuntime) {
-	rt.state = replicaActive
-	for f.parked.len() > 0 {
-		rt.prefillQ.push(f.parked.pop())
-	}
-	for {
-		var donor *splitwiseRuntime
-		for _, o := range f.replicas {
-			if o == rt || o.state != replicaActive {
-				continue
+		}, nil
+	}, func(_ *sim.Simulator, f *replicaSet[*splitwiseRuntime]) {
+		// A hauled request lands straight on the least-loaded survivor's
+		// decode queue: its KV moved with it, so it skips the prefill
+		// phase. With no replica serving it parks and loses the staged KV.
+		f.land = func(s *sim.Simulator, r *request) {
+			r.hauled = false
+			i := f.leastLoaded()
+			if i < 0 {
+				f.parked.push(r)
+				return
 			}
-			if donor == nil || o.prefillQ.len() > donor.prefillQ.len() {
-				donor = o
-			}
+			rt := f.replicas[i]
+			rt.decodeQ.push(r)
+			rt.kickDecode(s)
 		}
-		if donor == nil || donor.prefillQ.len() <= rt.prefillQ.len()+1 {
-			break
-		}
-		rt.prefillQ.push(donor.prefillQ.pop())
-	}
-	rt.kickPrefill(s)
-}
-
-// scaleUp implements chaosFleet.
-func (f *splitwiseFleet) scaleUp(s *sim.Simulator) bool {
-	for _, rt := range f.replicas {
-		if rt.state == replicaParked {
-			f.activate(s, rt)
-			return true
-		}
-	}
-	return false
-}
-
-// scaleDown implements chaosFleet.
-func (f *splitwiseFleet) scaleDown(s *sim.Simulator) bool {
-	if f.activeCount() <= 1 {
-		return false
-	}
-	for i := len(f.replicas) - 1; i >= 0; i-- {
-		if f.replicas[i].state == replicaActive {
-			f.deactivate(s, f.replicas[i], true, replicaParked)
-			return true
-		}
-	}
-	return false
+	})
 }
 
 type splitwiseRuntime struct {
 	sw  *Splitwise
 	res *Result
 
-	fleet *splitwiseFleet
-	idx   int
-	state replicaState
+	fleet *fleetCore
 
 	prefillQ    *waitQueue
 	prefillBusy bool
@@ -367,9 +142,55 @@ type splitwiseRuntime struct {
 	decodePending sim.Handle
 }
 
-// load is the replica's in-system request count, the routing key.
+// load implements replica: the in-system request count.
 func (rt *splitwiseRuntime) load() int {
 	return rt.prefillQ.len() + len(rt.prefillBatch) + len(rt.handoffs) + rt.decodeQ.len() + len(rt.running)
+}
+
+// queue implements replica: arrivals and stolen work enter at prefill
+// (decode queues stay put — their KV is resident where it is).
+func (rt *splitwiseRuntime) queue() *waitQueue { return rt.prefillQ }
+
+// kick implements replica.
+func (rt *splitwiseRuntime) kick(s *sim.Simulator) { rt.kickPrefill(s) }
+
+// teardown implements replica. Requests holding KV on the decode side
+// (running or transferred) are resident; everything else — waiting,
+// mid-prefill, mid-handoff — loses its progress and re-prefills.
+func (rt *splitwiseRuntime) teardown(s *sim.Simulator) []victim {
+	if rt.prefillBusy {
+		s.Cancel(rt.prefillPending)
+		rt.prefillBusy = false
+	}
+	if rt.decodeBusy {
+		s.Cancel(rt.decodePending)
+		rt.decodeBusy = false
+	}
+	rt.handoffGroup.CancelAll(s)
+
+	var victims []victim
+	for _, r := range rt.running {
+		victims = append(victims, victim{r, true})
+	}
+	for rt.decodeQ.len() > 0 {
+		victims = append(victims, victim{rt.decodeQ.pop(), true})
+	}
+	for _, r := range rt.handoffs {
+		victims = append(victims, victim{r, false})
+	}
+	for _, r := range rt.prefillBatch {
+		victims = append(victims, victim{r, false})
+	}
+	for rt.prefillQ.len() > 0 {
+		victims = append(victims, victim{rt.prefillQ.pop(), false})
+	}
+	slices.SortFunc(victims, bySeq)
+	rt.running = rt.running[:0]
+	rt.prefillBatch = nil
+	rt.handoffs = map[int64]*request{}
+	rt.usedDecode = 0
+	rt.inPrefill = 0
+	return victims
 }
 
 func (rt *splitwiseRuntime) kickPrefill(s *sim.Simulator) {

@@ -20,7 +20,7 @@ type staticPipeline struct {
 	// tokenCap is the number of cacheable tokens, bounded by the tightest
 	// stage: min_s floor(free_s / (kvPerTokenLayer · layers_s)).
 	// Occupancy lives on the runtime replica (staticRuntime.used), not
-	// here: the pipeline is a pure shared shape that chaos-mode fleets
+	// here: the pipeline is a pure shared shape that chaos-mode replica sets
 	// replicate without copying.
 	tokenCap int64
 

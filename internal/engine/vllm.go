@@ -55,5 +55,6 @@ func (v *VLLM) Devices() []hardware.DeviceID {
 
 // Run implements Engine, reusing the colocated static runtime.
 func (v *VLLM) Run(reqs []workload.Request, horizon float64) (*Result, error) {
-	return runStatic(v.Name(), v.cfg, v.est, v.pipe, v.CacheCapacity(), reqs, horizon)
+	res, _, err := runStatic(v.Name(), v.cfg, v.est, v.pipe, v.CacheCapacity(), reqs, horizon)
+	return res, err
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"hetis/internal/engine"
-	"hetis/internal/model"
 )
 
 // runResult drives a scenario's engine through the same configuration path
@@ -17,17 +16,11 @@ func runResult(t *testing.T, s Spec, engineName string) *engine.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := model.ByName(s.Model)
+	cfg, err := s.EngineConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster, err := ClusterByName(s.Cluster)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := engine.DefaultConfig(m, cluster)
-	cfg.Chaos = s.chaosConfig()
-	e, err := BuildEngine(engineName, cfg, reqs)
+	e, err := engine.NewByName(engineName, cfg, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,6 @@ import (
 	"hetis/internal/engine"
 	"hetis/internal/fleet"
 	"hetis/internal/metrics"
-	"hetis/internal/model"
 	"hetis/internal/sweep/pool"
 	"hetis/internal/trace"
 	"hetis/internal/workload"
@@ -76,11 +75,7 @@ func prepareFleet(spec Spec, engineName string, opts Options) (*FleetRun, error)
 	if len(reqs) == 0 {
 		return nil, fmt.Errorf("scenario %s: empty trace", spec.Name)
 	}
-	m, err := model.ByName(spec.Model)
-	if err != nil {
-		return nil, err
-	}
-	cluster, err := ClusterByName(spec.Cluster)
+	base, err := spec.EngineConfig()
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +99,7 @@ func prepareFleet(spec Spec, engineName string, opts Options) (*FleetRun, error)
 	for i, part := range parts {
 		sh := &fleetShard{reqs: part}
 		f.shards[i] = sh
-		cfg := engine.DefaultConfig(m, cluster)
+		cfg := base
 		// The splittable seed mix gives every shard an independent stream
 		// derived only from (run seed, shard index) — never from routing
 		// outcomes or sibling shards.
@@ -117,7 +112,7 @@ func prepareFleet(spec Spec, engineName string, opts Options) (*FleetRun, error)
 		if len(part) == 0 {
 			continue // a shard the router starved has nothing to simulate
 		}
-		eng, err := BuildEngine(engineName, cfg, part)
+		eng, err := engine.NewByName(engineName, cfg, part)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s/%s: shard %d/%d: %w", spec.Name, engineName, i, len(parts), err)
 		}

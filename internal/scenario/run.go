@@ -7,7 +7,6 @@ import (
 	"hetis/internal/engine"
 	"hetis/internal/hardware"
 	"hetis/internal/metrics"
-	"hetis/internal/model"
 	"hetis/internal/workload"
 )
 
@@ -38,14 +37,14 @@ func HeaderFor(chaotic bool) []string {
 
 // EngineBuilder constructs a named engine for a config and the trace it
 // will serve. The sweep pool injects a cache-backed builder here so grid
-// points share plans and profile fits; nil falls back to BuildEngine.
+// points share plans and profile fits; nil falls back to engine.NewByName.
 type EngineBuilder func(name string, cfg engine.Config, reqs []workload.Request) (engine.Engine, error)
 
 // Options tunes a scenario run.
 type Options struct {
 	// Quick quarters the trace duration, like experiments.Options.Quick.
 	Quick bool
-	// Build overrides engine construction (nil = BuildEngine).
+	// Build overrides engine construction (nil = engine.NewByName).
 	Build EngineBuilder
 
 	// Stream measures through constant-memory streaming sinks (and
@@ -65,12 +64,6 @@ type Options struct {
 	// identical at every value — the knob trades wall clock for cores,
 	// never results. Ignored for unsharded specs.
 	ShardWorkers int
-}
-
-// BuildEngine directly constructs the named engine, planning Hetis for the
-// trace.
-func BuildEngine(name string, cfg engine.Config, reqs []workload.Request) (engine.Engine, error) {
-	return engine.NewByName(name, cfg, reqs)
 }
 
 // ClusterByName resolves a spec's cluster name ("" and "paper" are the
@@ -185,20 +178,14 @@ func RunEngineSink(spec Spec, engineName string, opts Options) (rows, windows *m
 	if len(reqs) == 0 {
 		return nil, nil, fmt.Errorf("scenario %s: empty trace", spec.Name)
 	}
-	m, err := model.ByName(spec.Model)
-	if err != nil {
-		return nil, nil, err
-	}
-	cluster, err := ClusterByName(spec.Cluster)
+	cfg, err := spec.EngineConfig()
 	if err != nil {
 		return nil, nil, err
 	}
 	build := opts.Build
 	if build == nil {
-		build = BuildEngine
+		build = engine.NewByName
 	}
-	cfg := engine.DefaultConfig(m, cluster)
-	cfg.Chaos = spec.chaosConfig()
 	chaotic := cfg.Chaos.Active()
 	var stream *streamPipeline
 	if opts.Stream {

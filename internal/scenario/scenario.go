@@ -355,6 +355,24 @@ func (s Spec) Chaotic() bool {
 	return s.WithDefaults().chaosConfig().Active()
 }
 
+// EngineConfig resolves the spec's model and cluster into the engine
+// configuration every harness runs it with: engine.DefaultConfig with the
+// spec's chaos compiled in. Call on a prepared spec (see Prepare), so
+// fractional chaos times scale by the effective Duration.
+func (s Spec) EngineConfig() (engine.Config, error) {
+	m, err := model.ByName(s.Model)
+	if err != nil {
+		return engine.Config{}, err
+	}
+	cluster, err := ClusterByName(s.Cluster)
+	if err != nil {
+		return engine.Config{}, err
+	}
+	cfg := engine.DefaultConfig(m, cluster)
+	cfg.Chaos = s.chaosConfig()
+	return cfg, nil
+}
+
 // chaosConfig compiles the spec's chaos fields for the engine layer,
 // scaling fractional times by the (possibly Quick-shrunk) Duration. Call
 // on a defaulted spec; returns nil when no chaos field is set.
